@@ -3,97 +3,91 @@
 // Runs one testbed experiment from command-line flags and prints a result
 // summary; the programmable front door to everything the figure benches do.
 //
-//   ./build/examples/orbitbench --scheme=orbitcache --skew=0.99 \
-//       --servers=32 --server-rate=100000 --cache-size=128 --saturate
+//   ./build/examples/orbitbench --scheme netcache --servers 16 --saturate
 //
-// Flags (defaults in brackets):
-//   --scheme=orbitcache|netcache|nocache   [orbitcache]
-//   --skew=F           zipf theta, 0 = uniform            [0.99]
-//   --keys=N           key-space size                     [1000000]
-//   --clients=N        client nodes                       [4]
-//   --servers=N        emulated storage servers           [32]
-//   --server-rate=N    per-server RPS cap, 0 = unlimited  [100000]
-//   --rate=N           offered load (RPS)                 [6000000]
+// Flags (defaults in brackets; a bad flag prints the list):
+//   --scheme orbitcache|netcache|nocache   [orbitcache]
+//   --skew F           zipf theta, 0 = uniform            [0.99]
+//   --keys N           key-space size                     [1000000]
+//   --clients N        client nodes                       [4]
+//   --servers N        emulated storage servers           [32]
+//   --server-rate N    per-server RPS cap, 0 = unlimited  [100000]
+//   --rate N           offered load (RPS)                 [6000000]
 //   --saturate         search for saturated throughput instead of --rate
-//   --write-ratio=F                                        [0]
-//   --cache-size=N     OrbitCache entries                 [128]
-//   --netcache-size=N  NetCache entries                   [10000]
-//   --value=N          fixed value size; 0 = paper bimodal [0]
+//   --write-ratio F                                        [0]
+//   --cache-size N     OrbitCache entries                 [128]
+//   --netcache-size N  NetCache entries                   [10000]
+//   --value N          fixed value size; 0 = paper bimodal [0]
 //   --write-back       enable the §3.10 write-back extension
 //   --multi-packet     enable the §3.10 multi-packet extension
-//   --duration-ms=N    measurement window                 [200]
-//   --seed=N                                              [42]
+//   --duration-ms N    measurement window                 [200]
+//   --seed N                                              [42]
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "harness/flags.h"
 #include "testbed/testbed.h"
-
-namespace {
-
-bool FlagValue(const char* arg, const char* name, std::string* out) {
-  const size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
-  *out = arg + n + 1;
-  return true;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace orbit;
 
   testbed::TestbedConfig cfg;
-  cfg.workload.num_keys = 1'000'000;
-  cfg.duration = 200 * kMillisecond;
-  bool saturate = false;
-  uint32_t fixed_value = 0;
-
-  for (int i = 1; i < argc; ++i) {
-    std::string v;
-    if (FlagValue(argv[i], "--scheme", &v)) {
-      if (v == "orbitcache") cfg.scheme = testbed::Scheme::kOrbitCache;
-      else if (v == "netcache") cfg.scheme = testbed::Scheme::kNetCache;
-      else if (v == "nocache") cfg.scheme = testbed::Scheme::kNoCache;
-      else { std::fprintf(stderr, "unknown scheme '%s'\n", v.c_str()); return 1; }
-    } else if (FlagValue(argv[i], "--skew", &v)) {
-      cfg.workload.zipf_theta = std::atof(v.c_str());
-    } else if (FlagValue(argv[i], "--keys", &v)) {
-      cfg.workload.num_keys = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (FlagValue(argv[i], "--clients", &v)) {
-      cfg.topo.num_clients = std::atoi(v.c_str());
-    } else if (FlagValue(argv[i], "--servers", &v)) {
-      cfg.topo.num_servers = std::atoi(v.c_str());
-    } else if (FlagValue(argv[i], "--server-rate", &v)) {
-      cfg.topo.server_rate_rps = std::atof(v.c_str());
-    } else if (FlagValue(argv[i], "--rate", &v)) {
-      cfg.topo.client_rate_rps = std::atof(v.c_str());
-    } else if (std::strcmp(argv[i], "--saturate") == 0) {
-      saturate = true;
-    } else if (FlagValue(argv[i], "--write-ratio", &v)) {
-      cfg.workload.write_ratio = std::atof(v.c_str());
-    } else if (FlagValue(argv[i], "--cache-size", &v)) {
-      cfg.cache.orbit_cache_size = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (FlagValue(argv[i], "--netcache-size", &v)) {
-      cfg.cache.netcache_size = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (FlagValue(argv[i], "--value", &v)) {
-      fixed_value = static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
-    } else if (std::strcmp(argv[i], "--write-back") == 0) {
-      cfg.cache.write_back = true;
-    } else if (std::strcmp(argv[i], "--multi-packet") == 0) {
-      cfg.cache.multi_packet = true;
-    } else if (FlagValue(argv[i], "--duration-ms", &v)) {
-      cfg.duration = std::atoll(v.c_str()) * kMillisecond;
-    } else if (FlagValue(argv[i], "--seed", &v)) {
-      cfg.seed = std::strtoull(v.c_str(), nullptr, 10);
-    } else {
-      std::fprintf(stderr, "unknown flag '%s' (see header comment)\n",
-                   argv[i]);
-      return 1;
-    }
+  harness::Flags flags;
+  flags.AddString("scheme", "orbitcache", "NAME",
+                  "orbitcache | netcache | nocache");
+  flags.AddDouble("skew", cfg.workload.zipf_theta, "F",
+                  "zipf theta, 0 = uniform");
+  flags.AddUint64("keys", 1'000'000, "N", "key-space size");
+  flags.AddInt("clients", cfg.topo.num_clients, "N", "client nodes");
+  flags.AddInt("servers", cfg.topo.num_servers, "N",
+               "emulated storage servers");
+  flags.AddDouble("server-rate", cfg.topo.server_rate_rps, "N",
+                  "per-server RPS cap, 0 = unlimited");
+  flags.AddDouble("rate", cfg.topo.client_rate_rps, "N", "offered load (RPS)");
+  flags.AddBool("saturate",
+                "search for saturated throughput instead of --rate");
+  flags.AddDouble("write-ratio", cfg.workload.write_ratio, "F",
+                  "fraction of writes");
+  flags.AddUint64("cache-size", cfg.cache.orbit_cache_size, "N",
+                  "OrbitCache entries");
+  flags.AddUint64("netcache-size", cfg.cache.netcache_size, "N",
+                  "NetCache entries");
+  flags.AddUint64("value", 0, "N", "fixed value size; 0 = paper bimodal");
+  flags.AddBool("write-back", "enable the §3.10 write-back extension");
+  flags.AddBool("multi-packet", "enable the §3.10 multi-packet extension");
+  flags.AddInt("duration-ms", 200, "N", "measurement window");
+  flags.AddUint64("seed", cfg.seed, "N", "run seed");
+  const bool parsed = flags.Parse(argc, argv);
+  if (!parsed || !flags.positionals().empty()) {
+    const std::string why =
+        parsed ? "unexpected argument: " + flags.positionals()[0]
+               : flags.error();
+    std::fprintf(stderr, "%s\nflags:\n%s", why.c_str(), flags.Usage().c_str());
+    return 1;
   }
-  if (fixed_value > 0) cfg.workload.value_dist = wl::ValueDist::Fixed(fixed_value);
+
+  const std::string& scheme = flags.GetString("scheme");
+  if (scheme == "orbitcache") cfg.scheme = testbed::Scheme::kOrbitCache;
+  else if (scheme == "netcache") cfg.scheme = testbed::Scheme::kNetCache;
+  else if (scheme == "nocache") cfg.scheme = testbed::Scheme::kNoCache;
+  else { std::fprintf(stderr, "unknown scheme '%s'\n", scheme.c_str()); return 1; }
+  cfg.workload.zipf_theta = flags.GetDouble("skew");
+  cfg.workload.num_keys = flags.GetUint64("keys");
+  cfg.topo.num_clients = flags.GetInt("clients");
+  cfg.topo.num_servers = flags.GetInt("servers");
+  cfg.topo.server_rate_rps = flags.GetDouble("server-rate");
+  cfg.topo.client_rate_rps = flags.GetDouble("rate");
+  cfg.workload.write_ratio = flags.GetDouble("write-ratio");
+  cfg.cache.orbit_cache_size = flags.GetUint64("cache-size");
+  cfg.cache.netcache_size = flags.GetUint64("netcache-size");
+  if (flags.GetUint64("value") > 0)
+    cfg.workload.value_dist = wl::ValueDist::Fixed(
+        static_cast<uint32_t>(flags.GetUint64("value")));
+  cfg.cache.write_back = flags.GetBool("write-back");
+  cfg.cache.multi_packet = flags.GetBool("multi-packet");
+  cfg.duration = flags.GetInt("duration-ms") * kMillisecond;
+  cfg.seed = flags.GetUint64("seed");
+  const bool saturate = flags.GetBool("saturate");
 
   std::printf("%s | zipf-%.2f over %llu keys | %d servers @ %.0fK RPS | "
               "write ratio %.2f\n",

@@ -34,6 +34,7 @@ FabricController::FabricController(
       const auto at = topo_->AttachHost(ctrl.get(), addr, r, spec.ctrl_link);
       ORBIT_CHECK(at.port_a == 0);
       orbit_ctrls_.push_back(std::move(ctrl));
+      ctrl_links_.push_back(at.link);
     } else {
       ORBIT_CHECK(net_programs[static_cast<size_t>(r)] != nullptr);
       auto ctrl = std::make_unique<nc::NetController>(
@@ -42,32 +43,29 @@ FabricController::FabricController(
       const auto at = topo_->AttachHost(ctrl.get(), addr, r, spec.ctrl_link);
       ORBIT_CHECK(at.port_a == 0);
       net_ctrls_.push_back(std::move(ctrl));
+      ctrl_links_.push_back(at.link);
     }
   }
 }
 
 void FabricController::PreloadTopKeys(
-    const wl::KeySpace& keyspace, size_t per_leaf, uint64_t max_rank,
+    const wl::KeySpace& keyspace, size_t per_leaf,
     const std::function<bool(const Key&)>& admit) {
+  if (per_leaf == 0) return;
   const size_t racks = static_cast<size_t>(num_racks());
+  const size_t per_rack = racks > 1 ? 2 * per_leaf : per_leaf;
   std::vector<std::vector<Key>> groups(racks);
-  // full counts (preload set, standby list) pairs that reached per_leaf;
-  // the scan stops once both are complete for every rack or ranks run out.
-  size_t full = 0;
-  for (uint64_t rank = 0; rank < max_rank && full < 2 * racks; ++rank) {
+  std::vector<size_t> dealt(racks, 0);
+  size_t done = 0;  // racks dealt all their ranks
+  for (uint64_t rank = 0; rank < keyspace.num_keys() && done < racks;
+       ++rank) {
     Key key = keyspace.KeyAtRank(rank);
-    if (admit && !admit(key)) continue;
     const auto r = static_cast<size_t>(RackOfKey(key));
-    auto& group = groups[r];
-    if (group.size() < per_leaf) {
-      group.push_back(std::move(key));
-      if (group.size() == per_leaf) ++full;
-      continue;
-    }
-    auto& standby = standby_[r];
-    if (standby.size() >= per_leaf) continue;
-    standby.push_back(std::move(key));
-    if (standby.size() == per_leaf) ++full;
+    if (dealt[r] == per_rack) continue;
+    const bool preload = dealt[r] < per_leaf;
+    if (++dealt[r] == per_rack) ++done;
+    if (admit && !admit(key)) continue;
+    (preload ? groups[r] : standby_[r]).push_back(std::move(key));
   }
   for (size_t r = 0; r < racks; ++r) {
     if (groups[r].empty()) continue;

@@ -7,9 +7,10 @@
 // blocks, so a key's rack is ServerFor(key) / servers_per_rack and each
 // leaf caches only keys homed in its own rack — exactly one switch on any
 // path holds a given key. Preload walks the global popularity ranks and
-// deals each key to its owning leaf until every leaf's per-switch budget
-// is full, so the fabric-wide hot set is the union of per-rack hot sets
+// deals each rank to its owning leaf until every leaf's per-switch budget
+// is spent, so the fabric-wide hot set is the union of per-rack hot sets
 // (not the global top-k, which would concentrate on one rack under skew).
+// A one-rack fabric therefore preloads exactly the single ToR's hot set.
 // Dynamic updates need no extra coordination: each rack's servers report
 // to their own leaf's controller, and the partition map never changes.
 #pragma once
@@ -55,6 +56,11 @@ class FabricController {
   Addr controller_addr(int rack) const {
     return testbed::kControllerBase + static_cast<Addr>(rack);
   }
+  // Rack r's controller access link (the switch-CPU channel that
+  // kCtrlDown/kCtrlUp take down).
+  sim::Link* ctrl_link(int rack) const {
+    return ctrl_links_[static_cast<size_t>(rack)];
+  }
 
   // Partition assignment.
   int RackOfServer(int global_server) const {
@@ -71,13 +77,16 @@ class FabricController {
     return net_ctrls_[static_cast<size_t>(rack)].get();
   }
 
-  // Walks popularity ranks 0.. and deals each key passing `admit` (null =
-  // admit all) to its owning leaf until every leaf holds `per_leaf` keys
-  // or `max_rank` ranks were scanned, then preloads each leaf. Keeps
-  // scanning past the preload set to stash up to `per_leaf` next-hottest
-  // keys per rack as the degraded-mode standby list (OnLeafDown).
+  // Walks popularity ranks 0.. and deals each rank to its owning leaf until
+  // every leaf was dealt `per_leaf` ranks, then preloads each leaf with the
+  // keys among them that pass `admit` (null = admit all). A rank that
+  // fails `admit` still spends its slot: a leaf caches the admissible
+  // subset of its rack's hottest `per_leaf` items, as the paper's NetCache
+  // preload does (§5.1). With more than one rack the walk goes on for
+  // another `per_leaf` ranks per rack, whose admissible keys become the
+  // degraded-mode standby list (OnLeafDown); a lone leaf has no survivor
+  // to top up and keeps none.
   void PreloadTopKeys(const wl::KeySpace& keyspace, size_t per_leaf,
-                      uint64_t max_rank,
                       const std::function<bool(const Key&)>& admit);
 
   // Starts every per-leaf controller's periodic update timer.
@@ -124,6 +133,7 @@ class FabricController {
   testbed::Scheme scheme_;
   std::vector<std::unique_ptr<oc::Controller>> orbit_ctrls_;
   std::vector<std::unique_ptr<nc::NetController>> net_ctrls_;
+  std::vector<sim::Link*> ctrl_links_;
 
   // Degradation state (sized to num_racks by the constructor).
   std::vector<bool> degraded_;

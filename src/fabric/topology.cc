@@ -10,12 +10,14 @@ FabricTopology::FabricTopology(sim::Simulator* sim, sim::Network* net,
                                const TopologySpec& spec)
     : sim_(sim), net_(net), spec_(spec) {
   ORBIT_CHECK_MSG(spec.num_racks >= 1, "fabric needs at least one rack");
-  ORBIT_CHECK_MSG(spec.num_spines >= 1, "fabric needs at least one spine");
+  ORBIT_CHECK_MSG(spec.num_spines >= 1 || spec.num_racks == 1,
+                  "racks can only reach each other through a spine");
 
   leaves_.reserve(static_cast<size_t>(spec.num_racks));
   for (int r = 0; r < spec.num_racks; ++r)
     leaves_.push_back(std::make_unique<rmt::SwitchDevice>(
-        sim_, net_, "leaf" + std::to_string(r), spec.asic));
+        sim_, net_, spec.num_spines == 0 ? "tor" : "leaf" + std::to_string(r),
+        spec.asic));
   spines_.reserve(static_cast<size_t>(spec.num_spines));
   for (int s = 0; s < spec.num_spines; ++s)
     spines_.push_back(std::make_unique<rmt::SwitchDevice>(
@@ -64,16 +66,15 @@ sim::Network::Attachment FabricTopology::AttachHost(
       net_->Connect(host, leaves_[static_cast<size_t>(rack)].get(), link);
 
   // Owning leaf: direct. Spines: toward the owning leaf. Other leaves:
-  // into the uplink toward this address's spine.
+  // into the uplink toward this address's spine (a second rack implies a
+  // spine, so a spineless single rack never asks SpineFor).
   leaf(rack).AddRoute(addr, at.port_b);
-  const int sp = SpineFor(addr);
   for (int s = 0; s < spec_.num_spines; ++s)
     spine(s).AddRoute(addr,
                       spine_down_port_[static_cast<size_t>(s)][static_cast<size_t>(rack)]);
   for (int r = 0; r < spec_.num_racks; ++r) {
     if (r == rack) continue;
-    leaf(r).AddRoute(
-        addr, leaf_uplink_port_[static_cast<size_t>(r)][static_cast<size_t>(sp)]);
+    leaf(r).AddRoute(addr, leaf_uplink_port(r, SpineFor(addr)));
   }
 
   hosts_[addr] = HostEntry{rack, at.port_b};

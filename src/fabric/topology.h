@@ -14,6 +14,9 @@
 // address on every switch: the owning leaf routes it to the access port,
 // every spine routes it to the owning leaf's downlink, and every other
 // leaf routes it into the uplink toward the address's spine.
+//
+// A spineless topology is one rack: the paper's §5.1 single-ToR testbed.
+// Its lone leaf keeps the single switch's name, "tor".
 #pragma once
 
 #include <functional>
@@ -28,7 +31,7 @@ namespace orbit::fabric {
 
 struct TopologySpec {
   int num_racks = 2;
-  int num_spines = 1;
+  int num_spines = 1;          // 0 only for a single rack
   rmt::AsicConfig asic;        // every leaf and spine uses the same ASIC
   sim::LinkConfig uplink;      // each leaf<->spine link
 };

@@ -140,7 +140,8 @@ struct FaultHooks {
   std::function<void(bool down)> set_ctrl_link_down;
   std::function<void()> reset_switch;
   std::function<void()> rebuild_cache;
-  // Fabric hooks (empty on single-switch testbeds).
+  // Fabric hooks (TestbedConfig::Validate() rejects fabric events on
+  // single-switch testbeds).
   std::function<void(int rack, int spine, bool down)> set_fabric_link_down;
   std::function<void(int rack, int spine, int dir, double loss,
                      SimTime extra_latency)>

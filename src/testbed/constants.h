@@ -1,5 +1,5 @@
-// Address/port plan shared by the single-switch testbed (testbed.cc) and
-// the leaf–spine fabric (src/fabric/). Keeping one plan means a workload
+// Address/port plan of every testbed (testbed.cc), single ToR or
+// leaf–spine fabric (src/fabric/). Keeping one plan means a workload
 // built for either topology targets the same server addresses, and the
 // fabric's extra controllers slot in above kControllerBase without
 // colliding with hosts.
@@ -13,8 +13,8 @@ inline constexpr L4Port kOrbitPort = 5008;
 inline constexpr L4Port kCtrlPort = 7000;
 inline constexpr Addr kClientBase = 1000;
 inline constexpr Addr kServerBase = 2000;
-// Single-switch runs use kControllerBase itself; fabric runs give rack r's
-// controller kControllerBase + r.
+// Rack r's controller sits at kControllerBase + r; the single ToR is
+// rack 0.
 inline constexpr Addr kControllerBase = 3000;
 
 }  // namespace orbit::testbed

@@ -6,10 +6,11 @@
 #include "apps/client.h"
 #include "apps/server.h"
 #include "common/check.h"
-#include "fabric/fabric.h"
+#include "fabric/controller.h"
+#include "fabric/failover.h"
+#include "fabric/topology.h"
 #include "fault/fault.h"
 #include "kv/partition.h"
-#include "netcache/controller.h"
 #include "netcache/program.h"
 #include "nocache/program.h"
 #include "orbitcache/controller.h"
@@ -27,18 +28,8 @@
 #include "testbed/workload_source.h"
 #include "verify/verify.h"
 #include "workload/dynamic.h"
-#include "workload/keyspace.h"
-#include "workload/zipf.h"
 
 namespace orbit::testbed {
-
-namespace {
-
-constexpr Addr kControllerAddr = kControllerBase;
-
-using ZipfWorkload = ZipfWorkloadSource;
-
-}  // namespace
 
 const char* SchemeName(Scheme scheme) {
   switch (scheme) {
@@ -209,9 +200,16 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
     ORBIT_CHECK_MSG(errors.empty(), "invalid TestbedConfig:" << joined);
   }
 
-  // Leaf–spine configs run through the fabric assembly; everything below
-  // stays the untouched single-ToR path (and its exact event ordering).
-  if (config.topo.fabric.enabled()) return fabric::RunFabricTestbed(config);
+  // A single-ToR testbed (fabric disabled) is one rack of the fabric: one
+  // leaf and zero spines. Zero, not one: Network::Connect mixes each link's
+  // creation index into its loss seed and uplinks are created before any
+  // host link, so a spine would shift every server link's loss pattern and
+  // per-link counter name.
+  const TestbedConfig::Topology::Fabric& fb = config.topo.fabric;
+  const bool single_tor = !fb.enabled();
+  const int racks = single_tor ? 1 : fb.num_racks;
+  const int spines = single_tor ? 0 : fb.num_spines;
+  const int per_rack = config.topo.num_servers / racks;
 
   // The verifier is declared before the simulator on purpose: teardown of
   // the event queue and pool releases packets, and the pool's observer
@@ -237,7 +235,18 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
     verifier->ArmPacketAccounting();
   }
 
-  rmt::SwitchDevice sw(&sim, &net, "tor", config.topo.asic);
+  // ---- switches (leaves + spines + uplink mesh) ---------------------------
+  fabric::TopologySpec tspec;
+  tspec.num_racks = racks;
+  tspec.num_spines = spines;
+  tspec.asic = config.topo.asic;
+  tspec.uplink.rate_gbps = fb.uplink_gbps;
+  tspec.uplink.propagation = fb.uplink_delay;
+  // Scheduled burst loss rides on every uplink; Network::Connect
+  // decorrelates the per-link RNG seeds.
+  tspec.uplink.burst_loss = config.fault.fabric_burst_loss;
+  tspec.uplink.loss_seed = config.seed;
+  fabric::FabricTopology topo(&sim, &net, tspec);
 
   auto size_fn = MakeValueSizeFn(config);
   std::shared_ptr<wl::DynamicPopularity> dynamic;
@@ -245,44 +254,62 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
     dynamic = std::make_shared<wl::DynamicPopularity>(config.workload.num_keys,
                                                       config.workload.hot_in_count);
   }
-  auto workload = std::make_shared<ZipfWorkload>(config, size_fn, dynamic);
+  auto workload = std::make_shared<ZipfWorkloadSource>(config, size_fn, dynamic);
 
   // ---- programs -----------------------------------------------------------
-  std::unique_ptr<oc::OrbitProgram> orbit;
-  std::unique_ptr<nc::NetProgram> netp;
-  std::unique_ptr<nocache::ForwardProgram> fwd;
-  switch (config.scheme) {
-    case Scheme::kOrbitCache: {
-      oc::OrbitConfig oc_cfg;
-      oc_cfg.capacity = config.cache.orbit_capacity;
-      oc_cfg.queue_size = config.cache.orbit_queue_size;
-      oc_cfg.orbit_port = kOrbitPort;
-      oc_cfg.epoch_guard = config.cache.epoch_guard;
-      oc_cfg.enable_cloning = config.cache.enable_cloning;
-      oc_cfg.write_back = config.cache.write_back;
-      oc_cfg.multi_packet = config.cache.multi_packet;
-      orbit = std::make_unique<oc::OrbitProgram>(&sw, oc_cfg);
-      sw.SetProgram(orbit.get());
-      break;
+  // One cache program per leaf; spines run plain forwarding, so exactly one
+  // switch on any path — the destination's leaf — applies cache logic.
+  std::vector<std::unique_ptr<rmt::SwitchProgram>> programs;
+  std::vector<oc::OrbitProgram*> orbits;  // one per leaf under OrbitCache
+  std::vector<nc::NetProgram*> netps;     // one per leaf under NetCache
+  for (int r = 0; r < racks; ++r) {
+    switch (config.scheme) {
+      case Scheme::kOrbitCache: {
+        oc::OrbitConfig oc_cfg;
+        oc_cfg.capacity = config.cache.orbit_capacity;
+        oc_cfg.queue_size = config.cache.orbit_queue_size;
+        oc_cfg.orbit_port = kOrbitPort;
+        oc_cfg.epoch_guard = config.cache.epoch_guard;
+        oc_cfg.enable_cloning = config.cache.enable_cloning;
+        oc_cfg.write_back = config.cache.write_back;
+        oc_cfg.multi_packet = config.cache.multi_packet;
+        auto p = std::make_unique<oc::OrbitProgram>(&topo.leaf(r), oc_cfg);
+        orbits.push_back(p.get());
+        programs.push_back(std::move(p));
+        break;
+      }
+      case Scheme::kNetCache: {
+        nc::NetConfig nc_cfg;
+        nc_cfg.capacity = config.cache.netcache_size;
+        nc_cfg.orbit_port = kOrbitPort;
+        nc_cfg.recirc_read_mode = config.cache.netcache_recirc_read;
+        if (!config.control.run_cache_updates)
+          nc_cfg.hot_threshold = UINT64_MAX;  // static cache: never report
+        auto p = std::make_unique<nc::NetProgram>(&topo.leaf(r), nc_cfg);
+        netps.push_back(p.get());
+        programs.push_back(std::move(p));
+        break;
+      }
+      case Scheme::kNoCache:
+        programs.push_back(std::make_unique<nocache::ForwardProgram>());
+        break;
     }
-    case Scheme::kNetCache: {
-      nc::NetConfig nc_cfg;
-      nc_cfg.capacity = config.cache.netcache_size;
-      nc_cfg.orbit_port = kOrbitPort;
-      nc_cfg.recirc_read_mode = config.cache.netcache_recirc_read;
-      if (!config.control.run_cache_updates)
-        nc_cfg.hot_threshold = UINT64_MAX;  // static cache: never report
-      netp = std::make_unique<nc::NetProgram>(&sw, nc_cfg);
-      sw.SetProgram(netp.get());
-      break;
-    }
-    case Scheme::kNoCache:
-      fwd = std::make_unique<nocache::ForwardProgram>();
-      sw.SetProgram(fwd.get());
-      break;
+    topo.leaf(r).SetProgram(programs.back().get());
+  }
+  for (int s = 0; s < spines; ++s) {
+    programs.push_back(std::make_unique<nocache::ForwardProgram>());
+    topo.spine(s).SetProgram(programs.back().get());
   }
 
-  // ---- servers ------------------------------------------------------------
+  // Registers `addr` as a PRE clone target on every leaf, toward the local
+  // access port or the uplink carrying traffic to it.
+  auto register_clone_target = [&](Addr addr) {
+    for (size_t r = 0; r < orbits.size(); ++r)
+      orbits[r]->RegisterCloneTarget(
+          addr, topo.LeafPortFor(static_cast<int>(r), addr));
+  };
+
+  // ---- servers (global index order; rack r owns a contiguous block) -------
   const bool servers_report =
       config.scheme == Scheme::kOrbitCache && config.control.run_cache_updates;
   std::vector<std::unique_ptr<app::ServerNode>> servers;
@@ -291,38 +318,37 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
   servers.reserve(static_cast<size_t>(config.topo.num_servers));
   server_links.reserve(static_cast<size_t>(config.topo.num_servers));
   for (int i = 0; i < config.topo.num_servers; ++i) {
+    const int rack = i / per_rack;
     app::ServerConfig scfg;
     scfg.addr = kServerBase + static_cast<Addr>(i);
     scfg.srv_id = static_cast<uint8_t>(i);
     scfg.orbit_port = kOrbitPort;
     scfg.service_rate_rps = config.topo.server_rate_rps;
     scfg.multi_packet = config.cache.multi_packet;
-    scfg.controller_addr = servers_report ? kControllerAddr : kInvalidAddr;
+    scfg.controller_addr = servers_report
+                               ? kControllerBase + static_cast<Addr>(rack)
+                               : kInvalidAddr;
     scfg.ctrl_port = kCtrlPort;
     scfg.report_period = config.control.report_period;
     server_addrs.push_back(scfg.addr);
-    // Port wiring happens below; the node needs its own port index first.
-    servers.push_back(nullptr);
     sim::LinkConfig lc;
     lc.rate_gbps = config.topo.server_link_gbps;
     lc.propagation = config.topo.link_delay;
-    // Scheduled burst loss rides on every server link; Network::Connect
-    // decorrelates the per-link RNG seeds.
+    // Scheduled burst loss rides on every server link.
     lc.burst_loss = config.fault.server_burst_loss;
     lc.loss_seed = config.seed;
     auto node = std::make_unique<app::ServerNode>(&sim, &net, /*port=*/0,
                                                   scfg, size_fn);
-    auto at = net.Connect(node.get(), &sw, lc);
+    const auto at = topo.AttachHost(node.get(), scfg.addr, rack, lc);
     ORBIT_CHECK(at.port_a == 0);
     server_links.push_back(at.link);
-    sw.AddRoute(scfg.addr, at.port_b);
-    servers[static_cast<size_t>(i)] = std::move(node);
+    servers.push_back(std::move(node));
     // Servers are clone targets too: write-back snapshot flushes fork a
     // cache packet toward the owning server.
-    if (orbit != nullptr) orbit->RegisterCloneTarget(scfg.addr, at.port_b);
+    register_clone_target(scfg.addr);
   }
 
-  // ---- clients ------------------------------------------------------------
+  // ---- clients (round-robin across racks: most traffic crosses the spine)
   std::vector<std::unique_ptr<app::ClientNode>> clients;
   clients.reserve(static_cast<size_t>(config.topo.num_clients));
   for (int i = 0; i < config.topo.num_clients; ++i) {
@@ -339,91 +365,138 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
     sim::LinkConfig lc;
     lc.rate_gbps = config.topo.client_link_gbps;
     lc.propagation = config.topo.link_delay;
-    auto at = net.Connect(node.get(), &sw, lc);
+    const auto at = topo.AttachHost(node.get(), ccfg.addr, i % racks, lc);
     ORBIT_CHECK(at.port_a == 0);
-    sw.AddRoute(ccfg.addr, at.port_b);
-    if (orbit != nullptr) orbit->RegisterCloneTarget(ccfg.addr, at.port_b);
+    register_clone_target(ccfg.addr);
     clients.push_back(std::move(node));
   }
 
   if (verifier != nullptr) {
-    if (orbit != nullptr) orbit->SetVerifier(verifier.get());
+    for (oc::OrbitProgram* p : orbits) p->SetVerifier(verifier.get());
     for (auto& s : servers) s->SetVerifier(verifier.get());
     for (auto& c : clients) c->SetVerifier(verifier.get());
   }
 
-  // ---- controller ---------------------------------------------------------
+  // ---- control plane (one rack-scoped controller per leaf) ---------------
   kv::Partitioner partitioner(static_cast<uint32_t>(config.topo.num_servers),
                               config.seed);
-  std::unique_ptr<oc::Controller> orbit_ctrl;
-  std::unique_ptr<nc::NetController> net_ctrl;
-  sim::Link* ctrl_link = nullptr;  // fault-injection handle
+  std::unique_ptr<fabric::FabricController> fab_ctrl;
   if (config.scheme != Scheme::kNoCache) {
-    sim::Node* ctrl_node = nullptr;
-    sim::LinkConfig lc;
-    lc.rate_gbps = 10.0;
-    lc.propagation = config.topo.link_delay;
-    if (config.scheme == Scheme::kOrbitCache) {
-      oc::ControllerConfig ccfg;
-      ccfg.cache_size = config.cache.orbit_cache_size;
-      ccfg.max_cache_size = config.cache.orbit_capacity;
-      ccfg.min_cache_size = std::min<size_t>(32, config.cache.orbit_cache_size);
-      ccfg.dynamic_sizing = config.cache.dynamic_sizing;
-      ccfg.update_period = config.control.update_period;
-      ccfg.orbit_port = kOrbitPort;
-      ccfg.ctrl_port = kCtrlPort;
-      orbit_ctrl = std::make_unique<oc::Controller>(
-          &sim, &net, orbit.get(), &partitioner, server_addrs,
-          kControllerAddr, /*self_port=*/0, ccfg);
-      ctrl_node = orbit_ctrl.get();
-    } else {
-      nc::NetControllerConfig ccfg;
-      ccfg.cache_size = config.cache.netcache_size;
-      ccfg.update_period = config.control.update_period;
-      ccfg.orbit_port = kOrbitPort;
-      net_ctrl = std::make_unique<nc::NetController>(
-          &sim, &net, netp.get(), &partitioner, server_addrs,
-          kControllerAddr, /*self_port=*/0, ccfg);
-      ctrl_node = net_ctrl.get();
+    fabric::FabricControllerSpec cspec;
+    cspec.scheme = config.scheme;
+    cspec.ctrl_link.rate_gbps = 10.0;
+    cspec.ctrl_link.propagation = config.topo.link_delay;
+    cspec.oc.cache_size = config.cache.orbit_cache_size;
+    cspec.oc.max_cache_size = config.cache.orbit_capacity;
+    cspec.oc.min_cache_size =
+        std::min<size_t>(32, config.cache.orbit_cache_size);
+    cspec.oc.dynamic_sizing = config.cache.dynamic_sizing;
+    cspec.oc.update_period = config.control.update_period;
+    cspec.oc.orbit_port = kOrbitPort;
+    cspec.oc.ctrl_port = kCtrlPort;
+    cspec.nc.cache_size = config.cache.netcache_size;
+    cspec.nc.update_period = config.control.update_period;
+    cspec.nc.orbit_port = kOrbitPort;
+    fab_ctrl = std::make_unique<fabric::FabricController>(
+        &sim, &net, &topo, &partitioner, server_addrs, orbits, netps, cspec);
+    for (int r = 0; r < racks; ++r) {
+      register_clone_target(fab_ctrl->controller_addr(r));
+      if (!orbits.empty()) {
+        orbits[static_cast<size_t>(r)]->SetRefetchFn(
+            [ctrl = fab_ctrl->orbit(r)](const Key& key, const Hash128& hkey,
+                                        Addr server) {
+              ctrl->RequestRefetch(key, hkey, server);
+            });
+      }
     }
-    auto at = net.Connect(ctrl_node, &sw, lc);
-    ORBIT_CHECK(at.port_a == 0);
-    ctrl_link = at.link;
-    sw.AddRoute(kControllerAddr, at.port_b);
-    if (orbit != nullptr) {
-      orbit->RegisterCloneTarget(kControllerAddr, at.port_b);
-      orbit->SetRefetchFn([ctrl = orbit_ctrl.get()](const Key& key,
-                                                    const Hash128& hkey,
-                                                    Addr server) {
-        ctrl->RequestRefetch(key, hkey, server);
-      });
-    }
+  }
+
+  // ---- failure detection & rerouting --------------------------------------
+  // Opt-in (probes share uplink bandwidth with data): per-uplink liveness
+  // probing from the leaf side, ECMP-style next-hop recomputation around
+  // dead links, blackhole accounting when no path survives.
+  std::unique_ptr<fabric::FailoverManager> failover;
+  if (fb.failover) {
+    fabric::FailoverConfig focfg;
+    focfg.probe_interval = fb.probe_interval;
+    focfg.detection_window = fb.detection_window;
+    failover = std::make_unique<fabric::FailoverManager>(&sim, &topo, focfg);
+    // Keep PRE clone targets in lockstep with the L3 table: a rerouted
+    // address's cache packets must fork toward the new uplink.
+    failover->set_route_update_hook([&orbits](int rack, Addr addr, int port) {
+      if (!orbits.empty())
+        orbits[static_cast<size_t>(rack)]->UpdateCloneTarget(addr, port);
+    });
   }
 
   // ---- fault injection ----------------------------------------------------
   // Built only when the config carries a schedule; the injector turns each
   // scripted FaultEvent into one simulator event against these hooks.
+  // Validate() keeps every event on a target this topology has.
   std::unique_ptr<fault::FaultInjector> injector;
   if (!config.fault.events.empty()) {
+    // Wipes rack r's cache data plane, including (through the device's
+    // recirculation barrier) every orbiting cache packet.
+    const auto reset_leaf = [&orbits, &netps](int r) {
+      if (!orbits.empty()) orbits[static_cast<size_t>(r)]->ResetDataPlane();
+      if (!netps.empty()) netps[static_cast<size_t>(r)]->ResetDataPlane();
+    };
     fault::FaultHooks hooks;
     hooks.set_server_link_down = [&server_links,
-                                  n = config.topo.num_servers](int s, bool down) {
+                                  n = config.topo.num_servers](int s,
+                                                               bool down) {
       ORBIT_CHECK_MSG(s >= 0 && s < n, "fault targets unknown server " << s);
       server_links[static_cast<size_t>(s)]->set_down(down);
     };
-    if (ctrl_link != nullptr)
-      hooks.set_ctrl_link_down = [ctrl_link](bool down) {
-        ctrl_link->set_down(down);
+    // A switch reset wipes every leaf's data plane; after the configured
+    // delay every rack's controller rebuilds its cache from its shadow
+    // copy (§3.9).
+    hooks.reset_switch = [reset_leaf, racks] {
+      for (int r = 0; r < racks; ++r) reset_leaf(r);
+    };
+    if (fab_ctrl != nullptr) {
+      hooks.rebuild_cache = [&fab_ctrl, racks] {
+        for (int r = 0; r < racks; ++r) fab_ctrl->RebuildLeaf(r);
       };
-    // A switch reset wipes data-plane state; only OrbitCache models the
-    // controller's shadow copy + rebuild (§3.9). NetCache/NoCache keep
-    // the hooks empty (reset is a no-op for a stateless forwarder).
-    if (orbit != nullptr)
-      hooks.reset_switch = [op = orbit.get()] { op->ResetDataPlane(); };
-    if (orbit_ctrl != nullptr)
-      hooks.rebuild_cache = [ctrl = orbit_ctrl.get()] {
-        ctrl->RebuildCache();
+      hooks.set_ctrl_link_down = [&fab_ctrl, racks](bool down) {
+        for (int r = 0; r < racks; ++r) fab_ctrl->ctrl_link(r)->set_down(down);
       };
+    }
+    // Fabric hooks: uplink down/degrade flips the Link, a spine crash downs
+    // all its uplinks at once, a rack partition downs all the rack's
+    // uplinks.
+    hooks.set_fabric_link_down = [&topo](int r, int s, bool down) {
+      topo.uplink(r, s)->set_down(down);
+    };
+    hooks.set_fabric_link_degrade = [&topo](int r, int s, int dir,
+                                            double loss, SimTime lat) {
+      topo.uplink(r, s)->SetDegrade(dir, loss, lat);
+    };
+    hooks.set_spine_down = [&topo, racks](int s, bool down) {
+      for (int r = 0; r < racks; ++r) topo.uplink(r, s)->set_down(down);
+    };
+    hooks.set_rack_partition = [&topo, spines](int r, bool partitioned) {
+      for (int s = 0; s < spines; ++s)
+        topo.uplink(r, s)->set_down(partitioned);
+    };
+    // Leaf crash: wipe the data plane *before* entering bypass so the
+    // recirculation barrier retires every orbiting cache packet, then pass
+    // everything through (NoCache forwarding) while the fabric controller
+    // tops up the survivors (graceful degradation).
+    hooks.set_leaf_down = [&orbits, &netps, &fab_ctrl, reset_leaf](
+                              int r, bool down) {
+      if (down) reset_leaf(r);
+      if (!orbits.empty()) orbits[static_cast<size_t>(r)]->set_bypass(down);
+      if (!netps.empty()) netps[static_cast<size_t>(r)]->set_bypass(down);
+      if (fab_ctrl == nullptr) return;
+      if (down)
+        fab_ctrl->OnLeafDown(r);
+      else
+        fab_ctrl->OnLeafUp(r);
+    };
+    hooks.rebuild_leaf = [&fab_ctrl](int r) {
+      if (fab_ctrl != nullptr) fab_ctrl->RebuildLeaf(r);
+    };
     injector = std::make_unique<fault::FaultInjector>(&sim, config.fault,
                                                       std::move(hooks));
   }
@@ -431,7 +504,9 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
   // ---- telemetry ----------------------------------------------------------
   // Built only when a capture sink is attached; otherwise every component
   // keeps its null tracer and the run is indistinguishable from an
-  // uninstrumented one.
+  // uninstrumented one. Trace tracks are named after the devices, so a
+  // sampled request's packet-borne trace id stitches its leaf→spine→leaf
+  // hops into one causal timeline.
   std::unique_ptr<telemetry::Tracer> tracer;
   std::unique_ptr<telemetry::Registry> registry;
   std::unique_ptr<telemetry::IntSink> int_sink;
@@ -445,16 +520,21 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
       iopt.histograms = config.telemetry.histograms;
       int_sink = std::make_unique<telemetry::IntSink>(iopt);
       telemetry::AttachLinkInt(*int_sink, net);
-      sw.SetIntSink(int_sink.get());
-      for (auto& s : servers) s->SetIntSink(int_sink.get());
+      for (int r = 0; r < racks; ++r) topo.leaf(r).SetIntSink(int_sink.get());
+      for (int s = 0; s < spines; ++s) topo.spine(s).SetIntSink(int_sink.get());
+      for (auto& srv : servers) srv->SetIntSink(int_sink.get());
       for (auto& c : clients) c->SetIntSink(int_sink.get());
     }
     if (config.telemetry.flight_recorder || config.telemetry.flight_end_dump) {
       flight = std::make_unique<telemetry::FlightRecorder>();
-      sw.SetFlightRecorder(flight.get());
-      for (auto& s : servers) s->SetFlightRecorder(flight.get());
+      for (int r = 0; r < racks; ++r)
+        topo.leaf(r).SetFlightRecorder(flight.get());
+      for (int s = 0; s < spines; ++s)
+        topo.spine(s).SetFlightRecorder(flight.get());
+      for (auto& srv : servers) srv->SetFlightRecorder(flight.get());
       for (auto& c : clients) c->SetFlightRecorder(flight.get());
       if (injector != nullptr) injector->SetFlightRecorder(flight.get());
+      if (failover != nullptr) failover->SetFlightRecorder(flight.get());
       // A tripped ORBIT_CHECK aborts the run by exception, so the normal
       // end-of-run capture fill never executes; snapshot the rings into
       // the capture *before* the throw unwinds this frame.
@@ -468,14 +548,24 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
     if (config.telemetry.trace_sample > 0) {
       tracer =
           std::make_unique<telemetry::Tracer>(config.telemetry.trace_sample);
-      sw.SetTracer(tracer.get());
-      for (auto& s : servers) s->SetTracer(tracer.get());
+      for (int r = 0; r < racks; ++r) topo.leaf(r).SetTracer(tracer.get());
+      for (int s = 0; s < spines; ++s) topo.spine(s).SetTracer(tracer.get());
+      for (auto& srv : servers) srv->SetTracer(tracer.get());
       for (auto& c : clients) c->SetTracer(tracer.get());
     }
     registry = std::make_unique<telemetry::Registry>();
-    sw.RegisterTelemetry(*registry);
-    if (orbit != nullptr) orbit->RegisterTelemetry(*registry);
-    if (netp != nullptr) netp->RegisterTelemetry(*registry);
+    // Switch-scope counters get per-leaf / per-spine prefixes on a fabric;
+    // the single ToR keeps unprefixed names.
+    for (int r = 0; r < racks; ++r) {
+      const std::string scope = single_tor ? "" : topo.leaf(r).name() + ".";
+      topo.leaf(r).RegisterTelemetry(*registry, scope);
+      if (!orbits.empty())
+        orbits[static_cast<size_t>(r)]->RegisterTelemetry(*registry, scope);
+      if (!netps.empty())
+        netps[static_cast<size_t>(r)]->RegisterTelemetry(*registry, scope);
+    }
+    for (int s = 0; s < spines; ++s)
+      topo.spine(s).RegisterTelemetry(*registry, topo.spine(s).name() + ".");
     for (size_t i = 0; i < servers.size(); ++i)
       servers[i]->RegisterTelemetry(*registry,
                                     "server." + std::to_string(i));
@@ -484,7 +574,7 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
                                     "client." + std::to_string(i));
     // Per-hop drops, one counter per link direction per reason.
     telemetry::RegisterLinkDropCounters(*registry, net);
-    // Fabric drops, bucketed by reason.
+    // Network-wide drops, bucketed by reason.
     uint64_t* drop_ovf =
         registry->OwnCounter("net.drop.queue_overflow", "RunTestbed");
     uint64_t* drop_loss = registry->OwnCounter("net.drop.loss", "RunTestbed");
@@ -501,34 +591,31 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
     });
     if (injector != nullptr)
       injector->RegisterTelemetry(registry.get(), tracer.get());
+    if (failover != nullptr) failover->RegisterTelemetry(registry.get());
+    if (fab_ctrl != nullptr) fab_ctrl->RegisterTelemetry(*registry);
   }
 
   // ---- preload ------------------------------------------------------------
-  if (config.cache.preload && config.scheme == Scheme::kOrbitCache) {
-    std::vector<Key> keys;
-    keys.reserve(config.cache.orbit_cache_size);
-    for (uint64_t r = 0; r < config.cache.orbit_cache_size && r < config.workload.num_keys;
-         ++r)
-      keys.push_back(workload->keyspace().KeyAtRank(r));
-    orbit_ctrl->Preload(keys);
-  }
-  if (config.cache.preload && config.scheme == Scheme::kNetCache) {
-    // The paper preloads the cacheable subset of the 10K hottest items.
-    std::vector<Key> keys;
-    keys.reserve(config.cache.netcache_size);
-    for (uint64_t r = 0; r < config.cache.netcache_size && r < config.workload.num_keys;
-         ++r) {
-      Key key = workload->keyspace().KeyAtRank(r);
-      if (NetCacheCanCache(config, key)) keys.push_back(std::move(key));
+  // Per-leaf budgets: every leaf holds its rack's hottest items, so the
+  // fabric-wide cache is the union of per-rack hot sets. NetCache holds
+  // the cacheable subset of them: the paper preloads the cacheable subset
+  // of the 10K hottest items.
+  if (config.cache.preload && fab_ctrl != nullptr) {
+    if (config.scheme == Scheme::kOrbitCache) {
+      fab_ctrl->PreloadTopKeys(workload->keyspace(),
+                               config.cache.orbit_cache_size, nullptr);
+    } else {
+      fab_ctrl->PreloadTopKeys(
+          workload->keyspace(), config.cache.netcache_size,
+          [&config](const Key& key) { return NetCacheCanCache(config, key); });
     }
-    net_ctrl->Preload(keys);
   }
 
   // ---- timers & measurement ----------------------------------------------
   for (auto& s : servers) s->Start();
   for (auto& c : clients) c->Start();
-  if (orbit_ctrl != nullptr) orbit_ctrl->Start();
-  if (net_ctrl != nullptr) net_ctrl->Start();
+  if (fab_ctrl != nullptr) fab_ctrl->Start();
+  if (failover != nullptr) failover->Start();
   if (injector != nullptr) injector->Arm();
 
   // Periodic observers. Each is one allocation for the whole run (the
@@ -544,9 +631,41 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
       config.timeline_bin > 0 ? config.timeline_bin : kSecond);
   stats::TimeSeries overflow_ovf_timeline(
       config.timeline_bin > 0 ? config.timeline_bin : kSecond);
+  // Cache/program counters in the result are sums over the leaves.
+  const auto sum_orbit_stats = [&orbits] {
+    oc::OrbitProgram::Stats sum;
+    for (const oc::OrbitProgram* p : orbits) {
+      const auto& s = p->stats();
+      sum.read_hits += s.read_hits;
+      sum.absorbed += s.absorbed;
+      sum.overflow_to_server += s.overflow_to_server;
+      sum.invalid_to_server += s.invalid_to_server;
+      sum.served_by_cache += s.served_by_cache;
+      sum.wb_returned_replies += s.wb_returned_replies;
+      sum.cp_drop_evicted += s.cp_drop_evicted;
+      sum.cp_drop_invalid += s.cp_drop_invalid;
+      sum.cp_drop_epoch += s.cp_drop_epoch;
+      sum.validations += s.validations;
+    }
+    return sum;
+  };
+  const auto sum_net_stats = [&netps] {
+    nc::NetProgram::Stats sum;
+    for (const nc::NetProgram* p : netps) {
+      const auto& s = p->stats();
+      sum.read_hits += s.read_hits;
+      sum.served_by_cache += s.served_by_cache;
+    }
+    return sum;
+  };
+  const auto sum_recirc_drops = [&topo, racks] {
+    uint64_t sum = 0;
+    for (int r = 0; r < racks; ++r) sum += topo.leaf(r).stats().recirc_drops;
+    return sum;
+  };
   if (config.timeline_bin > 0) {
     for (auto& c : clients) c->AttachTimeline(&throughput_timeline);
-    if (orbit != nullptr) {
+    if (!orbits.empty()) {
       // Sample hit/overflow deltas each bin for the overflow-ratio series.
       // "Overflow" here matches the paper's Fig. 18 notion: requests for
       // cached keys that had to go to a server — queue overflows plus
@@ -555,7 +674,7 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
       auto last_ovf = std::make_shared<uint64_t>(0);
       overflow_sampler = std::make_unique<sim::PeriodicTask>(
           &sim, config.timeline_bin, [&, last_hits, last_ovf] {
-            const auto& s = orbit->stats();
+            const auto s = sum_orbit_stats();
             const uint64_t ovf = s.overflow_to_server + s.invalid_to_server;
             overflow_hits_timeline.Add(
                 sim.now() - 1, static_cast<double>(s.read_hits - *last_hits));
@@ -595,14 +714,14 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
   };
   Snapshot snap;
   sim.RunUntil(config.warmup);
-  if (orbit != nullptr) snap.oc = orbit->stats();
-  if (netp != nullptr) snap.nc = netp->stats();
+  snap.oc = sum_orbit_stats();
+  snap.nc = sum_net_stats();
   for (auto& s : servers) snap.servers.push_back(s->stats());
   for (auto& c : clients) {
     snap.client_tx += c->stats().tx_requests;
     c->OpenWindow(sim.now());
   }
-  snap.recirc_drops = sw.stats().recirc_drops;
+  snap.recirc_drops = sum_recirc_drops();
 
   const SimTime end = config.warmup + config.duration;
   sim.RunUntil(end);
@@ -634,6 +753,16 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
     res.inflight_at_stop += c->stats().inflight_at_stop;
   }
   if (injector != nullptr) res.faults_injected = injector->stats().injected;
+  if (failover != nullptr) res.reroutes = failover->stats().reroutes;
+  // Packets discarded at down uplinks (blackholes, spine crashes,
+  // partitions) — counted whether or not failover is rerouting.
+  for (int r = 0; r < racks; ++r) {
+    for (int s = 0; s < spines; ++s) {
+      const sim::Link* ul = topo.uplink(r, s);
+      res.blackholed_packets +=
+          ul->stats(0).down_drops + ul->stats(1).down_drops;
+    }
+  }
   res.rx_rps = static_cast<double>(rx) / secs;
   res.tx_rps = static_cast<double>(tx - snap.client_tx) / secs;
 
@@ -648,8 +777,8 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
   res.balancing_efficiency = loads.BalancingEfficiency();
   res.server_served_rps = static_cast<double>(loads.total()) / secs;
 
-  if (orbit != nullptr) {
-    const auto& s1 = orbit->stats();
+  if (!orbits.empty()) {
+    const auto s1 = sum_orbit_stats();
     res.lookup_hits = s1.read_hits - snap.oc.read_hits;
     res.absorbed = s1.absorbed - snap.oc.absorbed;
     res.overflows = s1.overflow_to_server - snap.oc.overflow_to_server;
@@ -663,30 +792,34 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
             ? static_cast<double>(res.overflows) /
                   static_cast<double>(res.lookup_hits)
             : 0.0;
-    res.cache_entries = orbit->num_entries();
-    res.cache_packets_in_flight =
-        static_cast<uint64_t>(std::max<int64_t>(0, sw.stats().recirc_in_flight));
+    for (int r = 0; r < racks; ++r) {
+      res.cache_entries += orbits[static_cast<size_t>(r)]->num_entries();
+      res.cache_packets_in_flight += static_cast<uint64_t>(
+          std::max<int64_t>(0, topo.leaf(r).stats().recirc_in_flight));
+    }
     res.cp_drop_evicted = s1.cp_drop_evicted;
     res.cp_drop_invalid = s1.cp_drop_invalid;
     res.cp_drop_epoch = s1.cp_drop_epoch;
     res.validations = s1.validations;
   }
-  if (netp != nullptr) {
-    const auto& s1 = netp->stats();
+  if (!netps.empty()) {
+    const auto s1 = sum_net_stats();
     res.lookup_hits = s1.read_hits - snap.nc.read_hits;
     res.cache_served_rps =
         static_cast<double>(s1.served_by_cache - snap.nc.served_by_cache) /
         secs;
-    res.cache_entries = netp->num_entries();
+    for (const nc::NetProgram* p : netps) res.cache_entries += p->num_entries();
   }
-  if (orbit_ctrl != nullptr)
-    res.controller_cache_size = orbit_ctrl->current_cache_size();
-  res.recirc_drops = sw.stats().recirc_drops - snap.recirc_drops;
-  res.resource_report = sw.resources().Report();
-  res.rmt_stages_used = sw.resources().stages_used();
-  res.rmt_sram_bytes_used = sw.resources().sram_bytes_used();
-  res.rmt_sram_fraction = sw.resources().sram_fraction_used();
-  res.rmt_alus_used = sw.resources().alus_used();
+  if (fab_ctrl != nullptr) res.controller_cache_size = fab_ctrl->TotalCacheSize();
+  res.recirc_drops = sum_recirc_drops() - snap.recirc_drops;
+  // All leaves run the identical program: one leaf's RMT ledger is the
+  // per-switch usage story (a fabric does not pool SRAM across switches).
+  const rmt::Resources& rmt_usage = topo.leaf(0).resources();
+  res.resource_report = rmt_usage.Report();
+  res.rmt_stages_used = rmt_usage.stages_used();
+  res.rmt_sram_bytes_used = rmt_usage.sram_bytes_used();
+  res.rmt_sram_fraction = rmt_usage.sram_fraction_used();
+  res.rmt_alus_used = rmt_usage.alus_used();
   // The snapshot timer is the one simulator event telemetry adds; exclude
   // it so the reported count — and therefore the record JSONL — is
   // identical with instrumentation on or off.
@@ -739,6 +872,8 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
   // Run last so that the fail_fast throw (below) happens after every metric
   // and capture is filled — a verification failure reports on a complete
   // run, and the flight-recorder check hook still gets its dump.
+  // Conservation must balance across every leaf, spine, uplink, and
+  // blackholed packet.
   if (verifier != nullptr) {
     verify::Verifier::EndOfRun eor;
     const sim::PacketPool::Stats& ps = sim.packet_pool().stats();
@@ -747,13 +882,14 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
     uint64_t server_queued = 0;
     for (auto& s : servers) server_queued += s->queue_depth();
     eor.expected_live = sim.pending_deliveries() + server_queued;
-    eor.recirc_in_flight =
-        static_cast<int64_t>(sw.stats().recirc_in_flight);
+    for (int r = 0; r < racks; ++r)
+      eor.recirc_in_flight +=
+          static_cast<int64_t>(topo.leaf(r).stats().recirc_in_flight);
     // The orbit census (one circulating packet per valid entry) is exact
     // only when nothing forked, dropped, or invalidated cache packets
     // outside the serve loop; otherwise record why it was skipped.
     std::string census_skip;
-    if (orbit == nullptr) {
+    if (orbits.empty()) {
       census_skip = "scheme has no orbiting cache packets";
     } else if (!config.cache.enable_cloning) {
       census_skip = "no-cloning ablation refetches instead of orbiting";
@@ -766,25 +902,26 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
     } else if (config.workload.write_ratio > 0 ||
                config.workload.twitter != nullptr) {
       census_skip = "writes invalidate entries while packets still orbit";
-    } else if (sw.stats().recirc_drops > 0) {
+    } else if (sum_recirc_drops() > 0) {
       census_skip = "recirculation ring dropped cache packets";
-    } else if (orbit->stats().cp_drop_evicted + orbit->stats().cp_drop_invalid +
-                   orbit->stats().cp_drop_epoch >
-               0) {
-      census_skip = "cache packets were retired mid-run";
-    } else if (orbit_ctrl != nullptr &&
-               (orbit_ctrl->stats().evictions > 0 ||
-                orbit_ctrl->stats().fetch_retries > 0 ||
-                orbit_ctrl->stats().fetch_failures > 0)) {
-      census_skip = "controller evicted or re-fetched entries";
+    } else {
+      const auto s1 = sum_orbit_stats();
+      if (s1.cp_drop_evicted + s1.cp_drop_invalid + s1.cp_drop_epoch > 0)
+        census_skip = "cache packets were retired mid-run";
+    }
+    for (int r = 0; census_skip.empty() && r < racks; ++r) {
+      const auto& cs = fab_ctrl->orbit(r)->stats();
+      if (cs.evictions > 0 || cs.fetch_retries > 0 || cs.fetch_failures > 0)
+        census_skip = "controller evicted or re-fetched entries";
     }
     if (census_skip.empty()) {
-      eor.valid_entries = static_cast<int64_t>(orbit->CountValidEntries());
+      eor.valid_entries = 0;
+      for (const oc::OrbitProgram* p : orbits)
+        eor.valid_entries += static_cast<int64_t>(p->CountValidEntries());
     } else {
-      eor.valid_entries = -1;
       eor.orbit_skip_reason = std::move(census_skip);
     }
-    eor.resources = &sw.resources();
+    eor.resources = &topo.leaf(0).resources();
     verifier->Finalize(eor);
     sim.packet_pool().set_observer(nullptr);
     res.verify_violations = verifier->violation_count();

@@ -1,9 +1,12 @@
 // Experiment assembly mirroring the paper's testbed (§5.1): client nodes
 // and rate-limited emulated storage servers around one programmable ToR
 // switch running NoCache, NetCache, or OrbitCache, driven by a skewed
-// key-value workload. One call builds the topology, preloads the cache,
-// warms up, measures, and returns every quantity the evaluation figures
-// plot.
+// key-value workload — or a leaf–spine fabric of such racks (§3.9). One
+// call builds the topology, preloads the caches, warms up, measures, and
+// returns every quantity the evaluation figures plot. RunTestbed() is the
+// only assembly: it builds every run from the src/fabric/ pieces, the
+// single ToR being one leaf with zero spines. On a fabric, cache counters
+// are sums over the leaves and RMT usage is reported for one leaf.
 #pragma once
 
 #include <cstdint>

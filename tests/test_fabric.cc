@@ -1,8 +1,9 @@
 // Leaf–spine fabric (src/fabric/): config validation and fingerprinting,
-// end-to-end scale-out runs through RunTestbed's fabric dispatch, per-leaf
-// / per-spine / per-link telemetry, cross-switch trace stitching, and the
-// determinism guarantees the harness relies on (serial == parallel bytes,
-// equal-time FIFO ordering across spine hops).
+// end-to-end scale-out runs through RunTestbed (including the one-rack ≡
+// single-ToR oracle), per-leaf / per-spine / per-link telemetry,
+// cross-switch trace stitching, and the determinism guarantees the harness
+// relies on (serial == parallel bytes, equal-time FIFO ordering across
+// spine hops).
 #include "fabric/topology.h"
 
 #include <gtest/gtest.h>
@@ -131,6 +132,30 @@ TEST(FabricTestbed, EverySchemeRunsOnAFabric) {
       EXPECT_EQ(res.cache_served_rps, 0);
     else
       EXPECT_GT(res.cache_served_rps, 0) << testbed::SchemeName(scheme);
+  }
+}
+
+TEST(FabricTestbed, OneRackFabricMatchesTheSingleToR) {
+  // RunTestbed builds the single-ToR testbed as one spineless leaf, so a
+  // one-rack fabric behind one spine must measure exactly the same run —
+  // switch resets included. Loss models stay off: Network::Connect mixes
+  // each link's creation index into its loss seed, and the spine's uplink
+  // is created before any host link, so lossy runs would legitimately
+  // draw different losses.
+  for (const Scheme scheme :
+       {Scheme::kNoCache, Scheme::kNetCache, Scheme::kOrbitCache}) {
+    for (const bool reset : {false, true}) {
+      TestbedConfig single = SmallFabricConfig(scheme, 1);
+      single.topo.fabric.num_racks = 0;
+      if (reset)
+        single.fault = fault::SwitchResetAt(20 * kMillisecond, kMillisecond);
+      TestbedConfig one_rack = single;
+      one_rack.topo.fabric.num_racks = 1;
+      one_rack.topo.fabric.num_spines = 1;
+      EXPECT_EQ(ResultMetrics(RunTestbed(single)).Dump(),
+                ResultMetrics(RunTestbed(one_rack)).Dump())
+          << testbed::SchemeName(scheme) << (reset ? " with a reset" : "");
+    }
   }
 }
 

@@ -275,6 +275,25 @@ TEST(TestbedFaults, SwitchResetIsRebuiltByTheController) {
       << "cached service resumes after the rebuild";
 }
 
+TEST(TestbedFaults, NetCacheSwitchResetIsRebuiltByTheController) {
+  // A reset wipes NetCache's lookup table and value registers too, and its
+  // controller reinstalls and refetches every entry from its shadow copy.
+  testbed::TestbedConfig cfg = TinyConfig();
+  cfg.scheme = testbed::Scheme::kNetCache;
+  cfg.cache.netcache_size = 256;
+  cfg.client.max_retries = 2;
+  cfg.client.request_timeout = kMillisecond;
+  cfg.verify.enabled = true;
+  const testbed::TestbedResult clean = testbed::RunTestbed(cfg);
+
+  cfg.fault = SwitchResetAt(5 * kMillisecond, kMillisecond);
+  const testbed::TestbedResult res = testbed::RunTestbed(cfg);
+  EXPECT_EQ(res.faults_injected, 2u) << "reset + cache rebuild";
+  EXPECT_EQ(res.cache_entries, clean.cache_entries)
+      << "the rebuild restores every preloaded entry";
+  EXPECT_EQ(res.verify_violations, 0u) << res.verify_report;
+}
+
 TEST(TestbedFaults, CtrlChannelOutageIsInjected) {
   testbed::TestbedConfig cfg = TinyConfig();
   cfg.scheme = testbed::Scheme::kOrbitCache;
