@@ -8,7 +8,6 @@
 #include "telemetry/counters.h"
 #include "telemetry/int/flight.h"
 #include "telemetry/int/int.h"
-#include "telemetry/trace.h"
 #include "verify/verify.h"
 
 namespace orbit::app {
@@ -82,7 +81,6 @@ void ClientNode::OnTimer(uint64_t arg) {
 
 void ClientNode::SendRequest(const WorkloadSource::Request& req,
                              bool correction, SimTime original_sent_at,
-                             uint64_t inherited_trace_id,
                              uint32_t inherited_int_id) {
   // SEQ values recycle at the 32-bit wrap. A recycled value that is still
   // pending (a slow request outliving ~2^32 sends) must not be reused:
@@ -91,15 +89,12 @@ void ClientNode::SendRequest(const WorkloadSource::Request& req,
   // 0, kept as the "unset" convention in reply matching).
   uint32_t seq = next_seq_++;
   while (seq == 0 || pending_.count(seq) != 0) seq = next_seq_++;
-  uint64_t trace_id = inherited_trace_id;
-  if (trace_id == 0 && tracer_ != nullptr && tracer_->Sampled(seq))
-    trace_id = telemetry::MakeTraceId(config_.addr, seq);
   const proto::Op op = correction ? proto::Op::kCorrectionReq
                                   : (req.is_write ? proto::Op::kWriteReq
                                                   : proto::Op::kReadReq);
   uint32_t int_id = inherited_int_id;
   if (int_id == 0 && int_ != nullptr && int_->Sampled(seq)) {
-    int_id = int_->StartFlow(telemetry::MakeTraceId(config_.addr, seq),
+    int_id = int_->StartFlow(telemetry::MakeFlowId(config_.addr, seq),
                              static_cast<uint8_t>(op), sim_->now());
   }
   Pending pending;
@@ -110,7 +105,6 @@ void ClientNode::SendRequest(const WorkloadSource::Request& req,
   pending.is_correction = correction;
   pending.server = req.server;
   pending.value_size = req.value_size;
-  pending.trace_id = trace_id;
   pending.int_id = int_id;
 
   ++stats_.tx_requests;
@@ -120,10 +114,6 @@ void ClientNode::SendRequest(const WorkloadSource::Request& req,
     ++stats_.reads_sent;
   }
 
-  if (tracer_ != nullptr && trace_id != 0)
-    tracer_->Instant(track_, trace_id, "send", sim_->now(),
-                     correction ? "correction"
-                                : (req.is_write ? "write" : "read"));
   Transmit(seq, pending);
   pending_[seq] = std::move(pending);
   if (verifier_ != nullptr)
@@ -154,7 +144,6 @@ void ClientNode::Transmit(uint32_t seq, const Pending& pending) {
   }
 
   pkt->sent_at = pending.sent_at;  // first send — retransmits inherit it
-  pkt->trace_id = pending.trace_id;
   pkt->int_id = pending.int_id;
   if (flight_ != nullptr)
     flight_->Note(flight_comp_, sim_->now(), "tx", seq,
@@ -165,6 +154,10 @@ void ClientNode::Transmit(uint32_t seq, const Pending& pending) {
     hop.hop = int_hop_tx_;
     hop.kind = telemetry::IntHopKind::kClientTx;
     hop.queue_depth = static_cast<int64_t>(pending_.size());
+    if (pending.attempt > 0)
+      hop.detail = "retransmit";
+    else if (pending.is_correction)
+      hop.detail = "correction";
     int_->Stamp(pending.int_id, hop);
   }
   net_->Send(this, port_, std::move(pkt));
@@ -188,9 +181,6 @@ void ClientNode::OnDeadline(uint32_t seq, int attempt) {
   if (pending.attempt < config_.max_retries) {
     ++pending.attempt;
     ++stats_.retransmissions;
-    if (tracer_ != nullptr && pending.trace_id != 0)
-      tracer_->Instant(track_, pending.trace_id, "retransmit", sim_->now(),
-                       nullptr, static_cast<uint64_t>(pending.attempt));
     if (flight_ != nullptr)
       flight_->Note(flight_comp_, sim_->now(), "retransmit", seq,
                     static_cast<uint64_t>(pending.attempt));
@@ -202,9 +192,6 @@ void ClientNode::OnDeadline(uint32_t seq, int attempt) {
   }
   ++stats_.timeouts;
   if (config_.max_retries > 0) ++stats_.retries_exhausted;
-  if (tracer_ != nullptr && pending.trace_id != 0)
-    tracer_->Span(track_, pending.trace_id, "request", pending.sent_at,
-                  sim_->now() - pending.sent_at, "timeout");
   if (flight_ != nullptr)
     flight_->Note(flight_comp_, sim_->now(), "timeout", seq,
                   static_cast<uint64_t>(pending.attempt));
@@ -246,11 +233,10 @@ void ClientNode::HandleReply(const sim::Packet& pkt) {
     fix.server = pending.server;
     fix.is_write = false;
     const SimTime original = pending.sent_at;
-    const uint64_t trace_id = pending.trace_id;
     const uint32_t int_id = pending.int_id;
     if (verifier_ != nullptr) verifier_->OnClientDrop(config_.addr, msg.seq);
     pending_.erase(it);
-    SendRequest(fix, /*correction=*/true, original, trace_id, int_id);
+    SendRequest(fix, /*correction=*/true, original, int_id);
     return;
   }
 
@@ -293,33 +279,26 @@ void ClientNode::HandleReply(const sim::Packet& pkt) {
   rx_meter_.Add();
   if (timeline_ != nullptr) timeline_->Add(sim_->now());
   if (window_open_) RecordLatency(pkt, pending);
-  // How the request was ultimately satisfied; shared by the trace root
-  // span and the INT flow outcome.
-  const char* outcome =
-      pending.is_write
-          ? "write"
-          : (msg.cached != 0 ? "read_cached"
-                             : (pending.is_correction ? "read_correction"
-                                                      : "read_server"));
-  if (tracer_ != nullptr && pending.trace_id != 0) {
-    // The root span: total client-observed latency.
-    tracer_->Span(track_, pending.trace_id, "request", pending.sent_at,
-                  sim_->now() - pending.sent_at, outcome);
-  }
   if (flight_ != nullptr)
     flight_->Note(flight_comp_, sim_->now(), "rx", msg.seq,
                   static_cast<uint64_t>(msg.cached));
   if (int_ != nullptr) {
-    const SimTime rtt = sim_->now() - pending.sent_at;
-    int_->Record(int_hist_rtt_, rtt);
+    int_->Record(int_hist_rtt_, sim_->now() - pending.sent_at);
     if (pending.int_id != 0) {
       telemetry::IntHop hop;
       hop.at = sim_->now();
       hop.hop = int_hop_rx_;
       hop.kind = telemetry::IntHopKind::kClientRx;
-      hop.latency_ns = rtt;
       hop.recirc_count = pkt.recirc_count;
       int_->Stamp(pending.int_id, hop);
+      // The flow's span is the client-observed latency; its outcome says
+      // how the request was ultimately satisfied.
+      const char* outcome =
+          pending.is_write
+              ? "write"
+              : (msg.cached != 0 ? "read_cached"
+                                 : (pending.is_correction ? "read_correction"
+                                                          : "read_server"));
       int_->FinishFlow(pending.int_id, sim_->now(), outcome);
     }
   }
@@ -344,12 +323,6 @@ void ClientNode::RecordLatency(const sim::Packet& pkt, const Pending& pending) {
   } else {
     lat_server_.Record(latency);
   }
-}
-
-void ClientNode::SetTracer(telemetry::Tracer* tracer) {
-  tracer_ = tracer;
-  if (tracer_ != nullptr)
-    track_ = tracer_->RegisterTrack("client-" + std::to_string(config_.addr));
 }
 
 void ClientNode::SetIntSink(telemetry::IntSink* sink) {

@@ -35,7 +35,6 @@ namespace orbit::telemetry {
 class FlightRecorder;
 class IntSink;
 class Registry;
-class Tracer;
 }  // namespace orbit::telemetry
 
 namespace orbit::verify {
@@ -104,13 +103,11 @@ class ClientNode : public sim::Node, public sim::TimerHandler {
   // Optional per-reply timeline for the dynamic-workload experiment.
   void AttachTimeline(stats::TimeSeries* timeline) { timeline_ = timeline; }
 
-  // Telemetry (optional): the client is where request lifecycles start —
-  // it decides which requests are sampled and closes each trace with a
-  // "request" span covering client-observed latency.
-  void SetTracer(telemetry::Tracer* tracer);
-  // INT: the client NIC is the INT source (stamps client_tx) and sink
-  // (stamps client_rx, closes the flow); also owns the always-on
-  // end-to-end RTT histogram.
+  // Telemetry (optional): the client is where request lifecycles start.
+  // It decides which requests are sampled, opens each flow and stamps
+  // client_tx (again, detailed "retransmit", per retransmission), and
+  // stamps client_rx and closes the flow with the request's outcome. It
+  // also owns the always-on end-to-end RTT histogram.
   void SetIntSink(telemetry::IntSink* sink);
   // Flight recorder: per-client ring noting tx/rx/retransmit/timeout.
   void SetFlightRecorder(telemetry::FlightRecorder* recorder);
@@ -167,8 +164,7 @@ class ClientNode : public sim::Node, public sim::TimerHandler {
     // Reassembly bitmap over frag_index (proto caps frag_total at 255).
     std::array<uint64_t, 4> frag_bitmap{};
     uint32_t frags_received = 0;
-    uint64_t trace_id = 0;     // non-zero when this request is sampled
-    uint32_t int_id = 0;       // non-zero when this request carries INT
+    uint32_t int_id = 0;       // non-zero when this request is sampled
   };
 
   // Timer argument encoding: the Tx tick uses a sentinel no deadline can
@@ -180,11 +176,9 @@ class ClientNode : public sim::Node, public sim::TimerHandler {
   }
 
   void SendNext();
-  // `inherited_trace_id`/`inherited_int_id` keep a correction retry on
-  // its original trace and INT flow.
+  // `inherited_int_id` keeps a correction retry on its original flow.
   void SendRequest(const WorkloadSource::Request& req, bool correction,
-                   SimTime original_sent_at, uint64_t inherited_trace_id = 0,
-                   uint32_t inherited_int_id = 0);
+                   SimTime original_sent_at, uint32_t inherited_int_id = 0);
   // Puts (or re-puts) the request for `seq` on the wire.
   void Transmit(uint32_t seq, const Pending& pending);
   // Schedules the deadline for the given attempt; a reply simply erases
@@ -215,8 +209,6 @@ class ClientNode : public sim::Node, public sim::TimerHandler {
   stats::TimeSeries* timeline_ = nullptr;
   bool window_open_ = false;
 
-  telemetry::Tracer* tracer_ = nullptr;
-  int track_ = -1;
   telemetry::IntSink* int_ = nullptr;
   uint32_t int_hop_tx_ = 0;
   uint32_t int_hop_rx_ = 0;

@@ -7,7 +7,6 @@
 #include "telemetry/counters.h"
 #include "telemetry/int/flight.h"
 #include "telemetry/int/int.h"
-#include "telemetry/trace.h"
 #include "verify/verify.h"
 
 namespace orbit::app {
@@ -58,9 +57,6 @@ void ServerNode::OnPacket(sim::PacketPtr pkt, int /*port*/) {
   if (op != Op::kFetchReq && queue_depth_ >= config_.rx_queue_limit) {
     ++stats_.dropped;
     sim::MarkEnd(*pkt, sim::PacketEnd::kDroppedRxQueue);
-    if (tracer_ != nullptr && pkt->trace_id != 0)
-      tracer_->Instant(track_, pkt->trace_id, "rx_drop", sim_->now(),
-                       "queue_full");
     if (flight_ != nullptr)
       flight_->Note(flight_comp_, sim_->now(), "rx_drop", pkt->msg.seq,
                     queue_depth_);
@@ -85,19 +81,12 @@ void ServerNode::OnPacket(sim::PacketPtr pkt, int /*port*/) {
   const SimTime queue_wait = start - sim_->now();
   busy_until_ = start + service;
   ++queue_depth_;
-  if (tracer_ != nullptr && pkt->trace_id != 0) {
-    // Both spans are known at enqueue time (FIFO, fixed service time), so
-    // emit them here rather than splitting emission across events.
-    if (start > sim_->now())
-      tracer_->Span(track_, pkt->trace_id, "srv_queue", sim_->now(),
-                    start - sim_->now());
-    tracer_->Span(track_, pkt->trace_id, "srv_process", start, service);
-  }
   if (flight_ != nullptr)
     flight_->Note(flight_comp_, sim_->now(), "rx", pkt->msg.seq, queue_depth_);
   if (int_ != nullptr) {
-    // Always-on hop-class histograms (every admitted request); the FIFO
-    // discipline makes both spans known at enqueue time, like the tracer.
+    // Always-on hop-class histograms (every admitted request). The FIFO
+    // discipline with a fixed service time makes both spans known at
+    // enqueue time, so they are stamped here rather than across events.
     int_->Record(int_hist_queue_, queue_wait);
     int_->Record(int_hist_process_, service);
     if (pkt->int_id != 0) {
@@ -242,8 +231,7 @@ void ServerNode::Reply(const sim::Packet& req) {
                                             msg.value.version());
     }
     rep->sent_at = sim_->now();
-    rep->trace_id = req.trace_id;  // the reply continues the request's trace
-    rep->int_id = req.int_id;      // …and its INT flow
+    rep->int_id = req.int_id;  // the reply continues the request's flow
     ++stats_.replies;
     net_->Send(this, port_, std::move(rep));
   }
@@ -263,11 +251,6 @@ void ServerNode::SendReport() {
   }
   top_k_.Reset();
   sim_->AfterTimer(config_.report_period, this, /*arg=*/0);
-}
-
-void ServerNode::SetTracer(telemetry::Tracer* tracer) {
-  tracer_ = tracer;
-  if (tracer_ != nullptr) track_ = tracer_->RegisterTrack(name());
 }
 
 void ServerNode::SetIntSink(telemetry::IntSink* sink) {

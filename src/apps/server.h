@@ -25,7 +25,6 @@ namespace orbit::telemetry {
 class FlightRecorder;
 class IntSink;
 class Registry;
-class Tracer;
 }  // namespace orbit::telemetry
 
 namespace orbit::verify {
@@ -95,11 +94,10 @@ class ServerNode : public sim::Node, public sim::TimerHandler {
   // mints (writes and first-touch synthesis). Null disables.
   void SetVerifier(verify::Verifier* verifier) { verifier_ = verifier; }
 
-  // Telemetry (optional): queue/process spans for sampled requests, reply
-  // packets inherit the request's trace id.
-  void SetTracer(telemetry::Tracer* tracer);
-  // INT: stamps srv_rx/srv_queue/srv_process hops on sampled flows and
-  // owns the always-on queue-wait/service/value-size histograms.
+  // Telemetry (optional): stamps srv_rx/srv_queue/srv_process hops (or a
+  // drop at a full Rx queue) on sampled flows, whose replies inherit the
+  // request's flow id, and owns the always-on queue-wait/service/value-size
+  // histograms.
   void SetIntSink(telemetry::IntSink* sink);
   // Flight recorder: per-server ring noting rx/rx_drop/reply.
   void SetFlightRecorder(telemetry::FlightRecorder* recorder);
@@ -129,8 +127,6 @@ class ServerNode : public sim::Node, public sim::TimerHandler {
   // its capacity (every case in Process() assigns every field it reads).
   proto::Message scratch_;
 
-  telemetry::Tracer* tracer_ = nullptr;
-  int track_ = -1;
   telemetry::IntSink* int_ = nullptr;
   uint32_t int_hop_rx_ = 0;
   uint32_t int_hop_queue_ = 0;

@@ -12,6 +12,7 @@
 #include "sim/simulator.h"
 #include "telemetry/counters.h"
 #include "telemetry/int/flight.h"
+#include "telemetry/int/int.h"
 
 namespace orbit::fault {
 
@@ -331,11 +332,9 @@ void FaultInjector::Arm() {
 
 void FaultInjector::Note(FaultKind kind, int server) {
   ++stats_.injected;
-  if (tracer_ != nullptr) {
-    tracer_->Instant(track_, /*trace_id=*/0, FaultKindName(kind), sim_->now(),
-                     /*detail=*/nullptr,
-                     server >= 0 ? static_cast<uint64_t>(server) : 0);
-  }
+  if (int_ != nullptr)
+    int_->Mark(sim_->now(), FaultKindName(kind),
+               server >= 0 ? static_cast<uint64_t>(server) : 0);
   if (flight_ != nullptr) {
     flight_->Note(flight_comp_, sim_->now(), FaultKindName(kind),
                   server >= 0 ? static_cast<uint64_t>(server) : 0);
@@ -370,9 +369,7 @@ void FaultInjector::Fire(const FaultEvent& ev) {
         sim_->After(schedule_.switch_rebuild_delay, [this] {
           ++stats_.cache_rebuilds;
           ++stats_.injected;
-          if (tracer_ != nullptr)
-            tracer_->Instant(track_, /*trace_id=*/0, "cache_rebuild",
-                             sim_->now());
+          if (int_ != nullptr) int_->Mark(sim_->now(), "cache_rebuild", 0);
           hooks_.rebuild_cache();
         });
       }
@@ -416,10 +413,9 @@ void FaultInjector::Fire(const FaultEvent& ev) {
         sim_->After(schedule_.switch_rebuild_delay, [this, rack] {
           ++stats_.leaf_rebuilds;
           ++stats_.injected;
-          if (tracer_ != nullptr)
-            tracer_->Instant(track_, /*trace_id=*/0, "leaf_rebuild",
-                             sim_->now(), /*detail=*/nullptr,
-                             static_cast<uint64_t>(rack));
+          if (int_ != nullptr)
+            int_->Mark(sim_->now(), "leaf_rebuild",
+                       static_cast<uint64_t>(rack));
           hooks_.rebuild_leaf(rack);
         });
       }
@@ -461,7 +457,7 @@ void FaultInjector::Fire(const FaultEvent& ev) {
 }
 
 void FaultInjector::RegisterTelemetry(telemetry::Registry* registry,
-                                      telemetry::Tracer* tracer) {
+                                      telemetry::IntSink* sink) {
   const std::string who = "FaultInjector::RegisterTelemetry";
   if (registry != nullptr) {
     registry->AddCounter("fault.injected", [this] { return stats_.injected; }, who);
@@ -491,10 +487,7 @@ void FaultInjector::RegisterTelemetry(telemetry::Registry* registry,
     registry->AddCounter("fault.partitions",
                          [this] { return stats_.partitions; }, who);
   }
-  if (tracer != nullptr) {
-    tracer_ = tracer;
-    track_ = tracer->RegisterTrack("faults");
-  }
+  int_ = sink;
 }
 
 void FaultInjector::SetFlightRecorder(telemetry::FlightRecorder* recorder) {

@@ -49,8 +49,8 @@ class Simulator;
 }
 namespace orbit::telemetry {
 class FlightRecorder;
+class IntSink;
 class Registry;
-class Tracer;
 }
 
 namespace orbit::fault {
@@ -158,7 +158,7 @@ struct FaultHooks {
 // a simulator event that fires the matching hook (a switch reset also
 // schedules the rebuild `switch_rebuild_delay` later). Keeps per-kind
 // injection counts and optionally emits telemetry counters ("fault.*")
-// and trace instants on a "faults" track.
+// and run-level marks in the hop-event stream.
 class FaultInjector {
  public:
   struct Stats {
@@ -185,10 +185,11 @@ class FaultInjector {
 
   const Stats& stats() const { return stats_; }
 
-  // Optional observability: counters under "fault.*" and instants on a
-  // dedicated track. Either pointer may be null.
+  // Optional observability: counters under "fault.*" and one IntSink mark
+  // per injected fault (exported on a "faults" row). Either pointer may be
+  // null.
   void RegisterTelemetry(telemetry::Registry* registry,
-                         telemetry::Tracer* tracer);
+                         telemetry::IntSink* sink);
 
   // Flight recorder: every injected fault is noted on a "faults" ring and
   // triggers a post-mortem dump of all component rings at that instant.
@@ -202,8 +203,7 @@ class FaultInjector {
   FaultSchedule schedule_;
   FaultHooks hooks_;
   Stats stats_;
-  telemetry::Tracer* tracer_ = nullptr;
-  int track_ = -1;
+  telemetry::IntSink* int_ = nullptr;
   telemetry::FlightRecorder* flight_ = nullptr;
   uint32_t flight_comp_ = 0;
 };

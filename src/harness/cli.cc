@@ -26,21 +26,20 @@ Flags MakeFlags() {
   flags.AddString("out", "", "PATH",
                   "write one JSON metrics record per point to PATH");
   flags.AddString("trace-out", "", "PATH",
-                  "capture request-lifecycle spans and write one merged\n"
-                  "Chrome trace (open in Perfetto / chrome://tracing)");
+                  "record the hop-event stream of sampled requests and\n"
+                  "write it as one merged Chrome trace (open in Perfetto\n"
+                  "/ chrome://tracing)");
   flags.AddUint64("trace-sample", 64, "N",
-                  "trace every Nth request per client (default 64)");
+                  "sample every Nth request per client into the stream\n"
+                  "(default 64; used with --trace-out / --int-out)");
   flags.AddString("counters-out", "", "PATH",
                   "write switch/app counter snapshots as JSONL series");
   flags.AddDouble("snapshot-interval", 0, "MS",
                   "sim-time period between counter snapshots (default\n"
                   "0 = one final snapshot per point)");
   flags.AddString("int-out", "", "PATH",
-                  "collect INT postcards (per-hop records of sampled\n"
-                  "requests) and write them as JSONL");
-  flags.AddUint64("int-sample", 64, "N",
-                  "stamp INT postcards on every Nth request per client\n"
-                  "(default 64; used only with --int-out)");
+                  "record the hop-event stream of sampled requests and\n"
+                  "write it as INT postcard JSONL");
   flags.AddString("hist-out", "", "PATH",
                   "record always-on per-hop/per-link histograms and write\n"
                   "their end-of-run snapshots as JSONL");
@@ -90,21 +89,15 @@ CliOptions ParseCli(int argc, char** argv) {
     opts.error = "bad --trace-sample value: " + flags.Raw("trace-sample");
     return opts;
   }
-  opts.runner.trace_sample = static_cast<uint32_t>(trace_sample);
+  opts.runner.telemetry.trace_sample = static_cast<uint32_t>(trace_sample);
   const double snapshot_ms = flags.GetDouble("snapshot-interval");
   if (snapshot_ms < 0) {
     opts.error = "bad --snapshot-interval value: " +
                  flags.Raw("snapshot-interval");
     return opts;
   }
-  opts.runner.snapshot_interval =
+  opts.runner.telemetry.snapshot_interval =
       static_cast<SimTime>(snapshot_ms * kMillisecond);
-  const uint64_t int_sample = flags.GetUint64("int-sample");
-  if (int_sample == 0 || int_sample > UINT32_MAX) {
-    opts.error = "bad --int-sample value: " + flags.Raw("int-sample");
-    return opts;
-  }
-  opts.runner.int_sample = static_cast<uint32_t>(int_sample);
   opts.runner.verify = flags.GetBool("verify");
   opts.runner.progress = !flags.GetBool("no-progress");
   opts.out_path = flags.GetString("out");
@@ -125,7 +118,7 @@ void PrintHelp(const char* prog, const std::vector<ExperimentSpec>& specs) {
       "       [--timeout SEC] [--out results.jsonl] [--list] [--no-progress]\n"
       "       [--trace-out trace.json] [--trace-sample N]\n"
       "       [--counters-out counters.jsonl] [--snapshot-interval MS]\n"
-      "       [--int-out int.jsonl] [--int-sample N] [--hist-out hist.jsonl]\n"
+      "       [--int-out int.jsonl] [--hist-out hist.jsonl]\n"
       "       [--flight-dump flight.txt] [--verify]\n"
       "\n"
       "  NAME...            run only experiments whose name contains NAME\n"
@@ -183,20 +176,16 @@ int HarnessMain(const std::vector<ExperimentSpec>& specs, int argc,
   }
 
   RunnerOptions runner = opts.runner;
-  if (!opts.trace_out_path.empty() || !opts.counters_out_path.empty() ||
+  runner.capture_telemetry =
+      !opts.trace_out_path.empty() || !opts.counters_out_path.empty() ||
       !opts.int_out_path.empty() || !opts.hist_out_path.empty() ||
-      !opts.flight_dump_path.empty()) {
-    runner.capture_telemetry = true;
-    // Collect only what will be written: spans cost nothing when sampling
-    // is off, and counter snapshots cost nothing unless requested.
-    if (opts.trace_out_path.empty()) runner.trace_sample = 0;
-  }
-  if (opts.int_out_path.empty()) runner.int_sample = 0;
-  runner.histograms = !opts.hist_out_path.empty();
-  if (!opts.flight_dump_path.empty()) {
-    runner.flight_recorder = true;
-    runner.flight_end_dump = true;
-  }
+      !opts.flight_dump_path.empty();
+  // Collect only what will be written: the stream costs nothing when
+  // sampling is off, and counter snapshots cost nothing unless requested.
+  if (opts.trace_out_path.empty() && opts.int_out_path.empty())
+    runner.telemetry.trace_sample = 0;
+  runner.telemetry.histograms = !opts.hist_out_path.empty();
+  runner.telemetry.flight_recorder = !opts.flight_dump_path.empty();
 
   const RunOutcome outcome = RunExperiments(selected, runner);
   PrintTables(selected, outcome.records);

@@ -5,12 +5,11 @@
 //   --jobs N            parallel points (default 1 = fully serial)
 //   --out PATH          write JSON-lines metrics records
 //   --timeout SEC       per-point wall-clock budget (0 = off)
-//   --trace-out PATH    write a merged Chrome trace (Perfetto-viewable)
-//   --trace-sample N    trace every Nth request per client (default 64)
+//   --trace-out PATH    write the hop-event stream as a merged Chrome trace
+//   --trace-sample N    stream every Nth request per client (default 64)
 //   --counters-out PATH write counter-snapshot JSONL time series
 //   --snapshot-interval MS  periodic registry snapshots (0 = final only)
-//   --int-out PATH      write INT postcards (per-hop records) as JSONL
-//   --int-sample N      INT postcard sampling period (default 64)
+//   --int-out PATH      write the hop-event stream as INT postcard JSONL
 //   --hist-out PATH     write always-on histogram snapshots as JSONL
 //   --flight-dump PATH  write flight-recorder dumps (end of run + faults)
 //   --list              list experiments and exit
@@ -36,9 +35,9 @@ namespace orbit::harness {
 struct CliOptions {
   RunnerOptions runner;
   std::string out_path;
-  std::string trace_out_path;     // non-empty enables trace capture
+  std::string trace_out_path;     // non-empty enables the hop-event stream
   std::string counters_out_path;  // non-empty enables counter snapshots
-  std::string int_out_path;       // non-empty enables INT postcards
+  std::string int_out_path;       // non-empty enables the hop-event stream
   std::string hist_out_path;      // non-empty enables always-on histograms
   std::string flight_dump_path;   // non-empty enables the flight recorder
   std::vector<std::string> filters;

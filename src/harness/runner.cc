@@ -47,24 +47,12 @@ RunOutcome RunExperiments(const std::vector<ExperimentSpec>& specs,
   if (options.capture_telemetry) {
     outcome.captures.resize(jobs.size());
     for (size_t i = 0; i < jobs.size(); ++i) {
+      jobs[i].point.config.telemetry = options.telemetry;
       jobs[i].point.config.telemetry.capture = &outcome.captures[i];
-      jobs[i].point.config.telemetry.trace_sample = options.trace_sample;
-      jobs[i].point.config.telemetry.snapshot_interval =
-          options.snapshot_interval;
-      jobs[i].point.config.telemetry.int_sample = options.int_sample;
-      jobs[i].point.config.telemetry.histograms = options.histograms;
-      jobs[i].point.config.telemetry.flight_recorder = options.flight_recorder;
-      jobs[i].point.config.telemetry.flight_end_dump =
-          options.flight_end_dump;
     }
   }
-  if (options.verify) {
-    // Fabric points stay unverified: the leaf-spine path is not wired to
-    // the shadow oracle (TestbedConfig::Validate rejects the combination).
-    for (Job& job : jobs)
-      if (!job.point.config.topo.fabric.enabled())
-        job.point.config.verify.enabled = true;
-  }
+  if (options.verify)
+    for (Job& job : jobs) job.point.config.verify.enabled = true;
   SaturationCache sat_cache;
   std::atomic<size_t> next{0};
   std::atomic<int> errors{0};

@@ -26,17 +26,13 @@ struct RunnerOptions {
   double point_timeout_sec = 0;  // 0 disables the per-point deadline
   bool progress = true;          // one stderr line per finished point
 
-  // Telemetry (off by default). When enabled the runner attaches one
-  // RunCapture per slot; captures land alongside records and never touch
-  // the metrics themselves, so record JSONL stays byte-identical either
-  // way. Sim-time timestamps keep captures deterministic across --jobs.
+  // Telemetry (off by default). When enabled every point runs with a copy
+  // of `telemetry` whose capture is that slot's RunCapture; captures land
+  // alongside records and never touch the metrics themselves, so record
+  // JSONL stays byte-identical either way. Sim-time timestamps keep
+  // captures deterministic across --jobs.
   bool capture_telemetry = false;
-  uint32_t trace_sample = 64;        // trace every Nth request per client
-  SimTime snapshot_interval = 0;     // 0 = final snapshot only
-  uint32_t int_sample = 0;           // INT postcards every Nth request (0=off)
-  bool histograms = false;           // always-on per-hop/per-link histograms
-  bool flight_recorder = false;      // per-component event rings
-  bool flight_end_dump = false;      // dump rings at end of run too
+  testbed::TestbedConfig::Telemetry telemetry;
 
   // Verification (off by default). Enables the shadow oracle + packet
   // conservation + switch invariant checks (src/verify/) on every point.

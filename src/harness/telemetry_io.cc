@@ -23,8 +23,9 @@ std::string MergedChromeTrace(
   ORBIT_CHECK(records.size() == captures.size());
   std::vector<telemetry::LabeledCapture> processes;
   for (size_t i = 0; i < records.size(); ++i) {
-    if (captures[i].events.empty()) continue;
-    processes.emplace_back(CaptureLabel(records[i]), &captures[i]);
+    const telemetry::IntCapture& ic = captures[i].int_capture;
+    if (ic.flows.empty() && ic.marks.empty()) continue;
+    processes.emplace_back(CaptureLabel(records[i]), &ic);
   }
   return telemetry::ChromeTraceJson(processes);
 }
@@ -100,6 +101,7 @@ std::string IntJsonl(const std::vector<MetricsRecord>& records,
         h.Set("queue_depth", hop.queue_depth);
         h.Set("recirc", static_cast<int64_t>(hop.recirc_count));
         h.Set("drop", static_cast<int64_t>(hop.drop_reason));
+        if (hop.detail != nullptr) h.Set("detail", hop.detail);
         hops.Append(std::move(h));
       }
       line.Set("hops", std::move(hops));

@@ -23,9 +23,10 @@ namespace orbit::harness {
 // name.
 std::string CaptureLabel(const MetricsRecord& record);
 
-// Merges slot-aligned captures (as produced by RunExperiments with
-// capture_telemetry set) into one Chrome trace-event JSON document; points
-// with empty captures are skipped. records/captures must be equal length.
+// Merges the hop-event streams of slot-aligned captures (as produced by
+// RunExperiments with capture_telemetry set) into one Chrome trace-event
+// JSON document; points with no flows or marks are skipped.
+// records/captures must be equal length.
 std::string MergedChromeTrace(
     const std::vector<MetricsRecord>& records,
     const std::vector<telemetry::RunCapture>& captures);
@@ -38,12 +39,15 @@ std::string MergedChromeTrace(
 std::string CountersJsonl(const std::vector<MetricsRecord>& records,
                           const std::vector<telemetry::RunCapture>& captures);
 
-// INT postcards, one JSON line per sampled flow per point:
+// The hop-event stream as INT postcards, one JSON line per sampled flow
+// per point:
 //   {"experiment":"fig15","point":0,"rep":0,"params":{...},
 //    "flow":8589934592,"op":"R-REQ","start_ns":..,"finish_ns":..,
 //    "outcome":"read_cached","hops":[{"hop":"client-2.tx","kind":"client_tx",
-//    "t_ns":..,"latency_ns":..,"queue_depth":..,"recirc":0,"drop":0},...]}
-// Lines appear in slot order, flows in collection (start) order.
+//    "t_ns":..,"latency_ns":..,"queue_depth":..,"recirc":0,"drop":0},...,
+//    {"hop":"tor.pipeline","kind":"pipeline",...,"detail":"multicast"},...]}
+// "detail" appears only on hops that carry one. Lines appear in slot
+// order, flows in collection (start) order.
 std::string IntJsonl(const std::vector<MetricsRecord>& records,
                      const std::vector<telemetry::RunCapture>& captures);
 

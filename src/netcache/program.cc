@@ -5,21 +5,10 @@
 #include "common/check.h"
 #include "telemetry/counters.h"
 #include "telemetry/int/int.h"
-#include "telemetry/trace.h"
 
 namespace orbit::nc {
 
 using rmt::IngressResult;
-
-namespace {
-inline void Note(rmt::SwitchDevice* dev, const sim::Packet& pkt,
-                 const char* name, const char* detail = nullptr) {
-  telemetry::Tracer* t = dev->tracer();
-  if (t != nullptr && pkt.trace_id != 0)
-    t->Instant(dev->trace_track(), pkt.trace_id, name, dev->sim().now(),
-               detail);
-}
-}  // namespace
 
 NetProgram::NetProgram(rmt::SwitchDevice* device, const NetConfig& config)
     : device_(device),
@@ -217,7 +206,7 @@ IngressResult NetProgram::HandleReadRequest(sim::Packet& pkt) {
   const uint32_t* idxp = lookup_.Lookup(pkt.msg.key);
   if (idxp == nullptr) {
     ++stats_.read_misses;
-    Note(device_, pkt, "lookup_miss");
+    device_->Note(pkt, "lookup_miss");
     // Heavy-hitter detection for uncached keys.
     sketch_.Update(pkt.msg.key);
     if (sketch_.Estimate(pkt.msg.key) >= config_.hot_threshold &&
@@ -234,7 +223,7 @@ IngressResult NetProgram::HandleReadRequest(sim::Packet& pkt) {
   }
   if (valid_.at(idx) == 0) {
     ++stats_.invalid_to_server;
-    Note(device_, pkt, "lookup_hit", "invalid_bypass");
+    device_->Note(pkt, "lookup_hit:invalid_bypass");
     return IngressResult::ToAddr(pkt.dst);
   }
   if (config_.recirc_read_mode) {
@@ -246,7 +235,7 @@ IngressResult NetProgram::HandleReadRequest(sim::Packet& pkt) {
         (len + bytes_per_pass() - 1) / std::max(1u, bytes_per_pass());
     if (passes > 1 && pkt.recirc_count + 1 < passes) {
       ++stats_.request_recircs;
-      Note(device_, pkt, "recirc_read_pass");
+      device_->Note(pkt, "recirc_read_pass");
       return IngressResult::Recirculate();
     }
   }
@@ -263,7 +252,7 @@ IngressResult NetProgram::HandleReadRequest(sim::Packet& pkt) {
   ++stats_.served_by_cache;
   if (int_ != nullptr)
     int_->Record(int_hist_value_, static_cast<int64_t>(pkt.msg.value.size()));
-  Note(device_, pkt, "lookup_hit", "serve");
+  device_->Note(pkt, "lookup_hit:serve");
   return IngressResult::ToAddr(client);
 }
 
@@ -294,7 +283,7 @@ IngressResult NetProgram::HandleValueReply(sim::Packet& pkt) {
     // write's own reply is lost). Forward without touching the cache; the
     // entry stays invalid until a current-epoch reply arrives.
     ++stats_.stale_revalidations;
-    Note(device_, pkt, "stale_revalidation_skip");
+    device_->Note(pkt, "stale_revalidation_skip");
     return IngressResult::ToAddr(pkt.dst);
   }
   const std::string bytes = pkt.msg.value.Materialize(pkt.msg.key);
@@ -308,7 +297,7 @@ IngressResult NetProgram::HandleValueReply(sim::Packet& pkt) {
   StoreValue(idx, bytes);
   valid_.at(idx) = 1;
   ++stats_.validations;
-  Note(device_, pkt, "validate");
+  device_->Note(pkt, "validate");
   return IngressResult::ToAddr(pkt.dst);
 }
 

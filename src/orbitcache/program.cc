@@ -4,24 +4,11 @@
 #include "common/logging.h"
 #include "telemetry/counters.h"
 #include "telemetry/int/int.h"
-#include "telemetry/trace.h"
 #include "verify/verify.h"
 
 namespace orbit::oc {
 
 using rmt::IngressResult;
-
-namespace {
-// Program-level trace instant for a sampled packet; no-op (one branch)
-// when tracing is off or the packet is unsampled.
-inline void Note(rmt::SwitchDevice* dev, const sim::Packet& pkt,
-                 const char* name, const char* detail = nullptr) {
-  telemetry::Tracer* t = dev->tracer();
-  if (t != nullptr && pkt.trace_id != 0)
-    t->Instant(dev->trace_track(), pkt.trace_id, name, dev->sim().now(),
-               detail);
-}
-}  // namespace
 
 OrbitProgram::OrbitProgram(rmt::SwitchDevice* device, const OrbitConfig& config)
     : device_(device),
@@ -230,7 +217,7 @@ IngressResult OrbitProgram::HandleReadRequest(sim::Packet& pkt) {
   const uint32_t* idxp = lookup_.Lookup(pkt.msg.hkey);
   if (idxp == nullptr) {
     ++stats_.read_misses;
-    Note(device_, pkt, "lookup_miss");
+    device_->Note(pkt, "lookup_miss");
     return IngressResult::ToAddr(pkt.dst);
   }
   const uint32_t idx = *idxp;
@@ -241,7 +228,7 @@ IngressResult OrbitProgram::HandleReadRequest(sim::Packet& pkt) {
   if (valid_.at(idx) == 0) {
     // Pending write: read from the server to avoid a stale value.
     ++stats_.invalid_to_server;
-    Note(device_, pkt, "lookup_hit", "invalid_bypass");
+    device_->Note(pkt, "lookup_hit:invalid_bypass");
     return IngressResult::ToAddr(pkt.dst);
   }
 
@@ -250,7 +237,6 @@ IngressResult OrbitProgram::HandleReadRequest(sim::Packet& pkt) {
   meta.l4_port = pkt.sport;
   meta.seq = pkt.msg.seq;
   meta.enqueued_at = device_->sim().now();
-  meta.trace_id = pkt.trace_id;
   meta.int_id = pkt.int_id;
   if (request_table_.TryEnqueue(idx, meta)) {
     // Absorbed: a circulating cache packet will answer it (Fig. 4a). Mark
@@ -258,12 +244,12 @@ IngressResult OrbitProgram::HandleReadRequest(sim::Packet& pkt) {
     // misclassify the absorption as an unexplained program drop.
     sim::MarkEnd(pkt, sim::PacketEnd::kAbsorbed);
     ++stats_.absorbed;
-    Note(device_, pkt, "lookup_hit", "absorb");
+    device_->Note(pkt, "lookup_hit:absorb");
     return IngressResult::Drop();
   }
   overflow_counter_.get()++;
   ++stats_.overflow_to_server;
-  Note(device_, pkt, "lookup_hit", "overflow");
+  device_->Note(pkt, "lookup_hit:overflow");
   return IngressResult::ToAddr(pkt.dst);
 }
 
@@ -275,8 +261,8 @@ IngressResult OrbitProgram::HandleWriteRequest(sim::Packet& pkt) {
   }
   const uint32_t idx = *idxp;
   ++stats_.writes_cached;
-  Note(device_, pkt, "write_cached",
-       config_.write_back ? "write_back" : "write_through");
+  device_->Note(pkt, config_.write_back ? "write_cached:write_back"
+                                        : "write_cached:write_through");
 
   if (config_.write_back && valid_.at(idx) != 0 &&
       pkt.msg.value.size() <= proto::kMaxPayloadBytes - pkt.msg.key.size()) {
@@ -365,7 +351,7 @@ IngressResult OrbitProgram::HandleServerReply(sim::Packet& pkt) {
     }
     valid_.at(idx) = 1;
     ++stats_.validations;
-    Note(device_, pkt, "validate");
+    device_->Note(pkt, "validate");
   }
   dirty_.at(idx) = 0;  // the server now holds this value
   version_.at(idx) = pkt.msg.value.version();
@@ -450,14 +436,9 @@ IngressResult OrbitProgram::ServeOrRecirculate(sim::Packet& pkt, uint32_t idx,
 
     // The serving cache packet adopts the absorbed request's identity: the
     // outgoing reply (and its recirculating clone) now belong to that
-    // request's trace.
-    pkt.trace_id = meta->trace_id;
+    // request's flow, which records how long it waited for this pass.
     pkt.int_id = meta->int_id;
-    if (telemetry::Tracer* t = device_->tracer();
-        t != nullptr && meta->trace_id != 0) {
-      t->Span(device_->trace_track(), meta->trace_id, "cache_wait",
-              meta->enqueued_at, sw.sim().now() - meta->enqueued_at, "serve");
-    }
+    sw.NoteCacheWait(pkt, meta->enqueued_at);
 
     const Addr server_src = pkt.src;
     pkt.dst = meta->client_addr;
@@ -491,7 +472,6 @@ IngressResult OrbitProgram::ServeOrRecirculate(sim::Packet& pkt, uint32_t idx,
   std::optional<RequestMeta> meta = request_table_.Peek(idx);
   if (!meta) return IngressResult::Recirculate();
 
-  pkt.trace_id = meta->trace_id;
   pkt.int_id = meta->int_id;
   pkt.dst = meta->client_addr;
   pkt.dport = meta->l4_port;
@@ -511,11 +491,7 @@ IngressResult OrbitProgram::ServeOrRecirculate(sim::Packet& pkt, uint32_t idx,
       int_->Record(int_hist_value_,
                    static_cast<int64_t>(pkt.msg.value.size()));
     }
-    if (telemetry::Tracer* t = device_->tracer();
-        t != nullptr && meta->trace_id != 0) {
-      t->Span(device_->trace_track(), meta->trace_id, "cache_wait",
-              meta->enqueued_at, sw.sim().now() - meta->enqueued_at, "serve");
-    }
+    sw.NoteCacheWait(pkt, meta->enqueued_at);
   }
   return CloneToAddrAndRecirc(pkt, meta->client_addr);
 }

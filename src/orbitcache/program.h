@@ -181,8 +181,8 @@ class OrbitProgram : public rmt::SwitchProgram {
   void ResetStats() { stats_ = Stats{}; }
 
   // Registers orbit.* outcome counters plus per-table / per-stage register
-  // access counters ("rmt.s<stage>.<name>.*") against `reg`. Trace spans
-  // use the tracer attached to the owning device (SwitchDevice::SetTracer).
+  // access counters ("rmt.s<stage>.<name>.*") against `reg`. Hop stamps
+  // go through the owning device (SwitchDevice::Note / NoteCacheWait).
   void RegisterTelemetry(telemetry::Registry& reg,
                          const std::string& prefix = "");
 

@@ -19,7 +19,6 @@ RequestTable::RequestTable(rmt::Resources* res, size_t capacity,
       l4_port_(res, "req_l4_port", first_stage + 2, capacity * queue_size),
       timestamp_(res, "req_timestamp", first_stage + 2,
                  capacity * queue_size),
-      trace_id_(capacity * queue_size, 0),
       int_id_(capacity * queue_size, 0) {
   ORBIT_CHECK(capacity > 0 && queue_size > 0);
 }
@@ -40,7 +39,6 @@ bool RequestTable::TryEnqueue(uint32_t idx, const RequestMeta& meta) {
   seq_.at(r) = meta.seq;
   l4_port_.at(r) = meta.l4_port;
   timestamp_.at(r) = meta.enqueued_at;
-  trace_id_[r] = meta.trace_id;
   int_id_[r] = meta.int_id;
   ReportQueueState("TryEnqueue", idx);
   return true;
@@ -60,7 +58,6 @@ std::optional<RequestMeta> RequestTable::TryDequeue(uint32_t idx) {
   meta.seq = seq_.at(r);
   meta.l4_port = l4_port_.at(r);
   meta.enqueued_at = timestamp_.at(r);
-  meta.trace_id = trace_id_[r];
   meta.int_id = int_id_[r];
   ReportQueueState("TryDequeue", idx);
   return meta;
@@ -75,7 +72,6 @@ std::optional<RequestMeta> RequestTable::Peek(uint32_t idx) const {
   meta.seq = seq_.at(r);
   meta.l4_port = l4_port_.at(r);
   meta.enqueued_at = timestamp_.at(r);
-  meta.trace_id = trace_id_[r];
   meta.int_id = int_id_[r];
   return meta;
 }
@@ -90,16 +86,13 @@ void RequestTable::ClearQueue(uint32_t idx) {
   qlen_.at(idx) = 0;
   front_.at(idx) = 0;
   rear_.at(idx) = 0;
-  // Scrub the telemetry sidecars of every slot in idx's queue. The real
+  // Scrub the telemetry sidecar of every slot in idx's queue. The real
   // data-plane arrays may keep stale bytes (they are overwritten before
   // use because slot validity is governed by qlen/front/rear), but the
-  // sidecars are read back by correlation tooling keyed on slot index, so
-  // a reset must not leave another run's trace/INT ids behind.
-  for (uint32_t off = 0; off < queue_size_; ++off) {
-    const size_t r = ReqIdx(idx, off);
-    trace_id_[r] = 0;
-    int_id_[r] = 0;
-  }
+  // sidecar is read back by correlation tooling keyed on slot index, so a
+  // reset must not leave another run's flow ids behind.
+  for (uint32_t off = 0; off < queue_size_; ++off)
+    int_id_[ReqIdx(idx, off)] = 0;
   ReportQueueState("ClearQueue", idx);
 }
 

@@ -39,11 +39,9 @@ struct RequestMeta {
   L4Port l4_port = 0;
   uint32_t seq = 0;
   SimTime enqueued_at = 0;
-  // Telemetry passengers (not part of the modeled data plane): the sampled
-  // request's trace id and INT flow id ride along so the serving cache
-  // packet can be correlated back to the absorbed request. Zero for
-  // unsampled requests.
-  uint64_t trace_id = 0;
+  // Telemetry passenger (not part of the modeled data plane): the sampled
+  // request's flow id rides along so the serving cache packet can be
+  // correlated back to the absorbed request. Zero for unsampled requests.
   uint32_t int_id = 0;
 };
 
@@ -77,10 +75,7 @@ class RequestTable {
   // reports the resulting ring state. Null (the default) disables.
   void SetVerifier(verify::Verifier* verifier) { verifier_ = verifier; }
 
-  // Test/verify access to the telemetry sidecars of idx's slot `offset`.
-  uint64_t trace_id_at(uint32_t idx, uint32_t offset) const {
-    return trace_id_[ReqIdx(idx, offset)];
-  }
+  // Test/verify access to the telemetry sidecar of idx's slot `offset`.
   uint32_t int_id_at(uint32_t idx, uint32_t offset) const {
     return int_id_[ReqIdx(idx, offset)];
   }
@@ -105,11 +100,10 @@ class RequestTable {
   rmt::RegisterArray<uint32_t> seq_;
   rmt::RegisterArray<uint16_t> l4_port_;
   rmt::RegisterArray<SimTime> timestamp_;
-  // Telemetry sidecars, deliberately NOT declared RegisterArrays: trace and
-  // INT ids are observability metadata, and declaring storage for them
-  // would charge the Resources ledger (changing rmt_sram metrics) for
-  // state the real data plane does not hold.
-  std::vector<uint64_t> trace_id_;
+  // Telemetry sidecar, deliberately NOT a declared RegisterArray: flow ids
+  // are observability metadata, and declaring storage for them would
+  // charge the Resources ledger (changing rmt_sram metrics) for state the
+  // real data plane does not hold.
   std::vector<uint32_t> int_id_;
 
   verify::Verifier* verifier_ = nullptr;  // not owned; null = no checks

@@ -7,7 +7,6 @@
 #include "telemetry/counters.h"
 #include "telemetry/int/flight.h"
 #include "telemetry/int/int.h"
-#include "telemetry/trace.h"
 
 namespace orbit::rmt {
 
@@ -39,22 +38,30 @@ void SwitchDevice::SetProgram(SwitchProgram* program) {
 
 void SwitchDevice::AddRoute(Addr addr, int port) { routes_[addr] = port; }
 
-void SwitchDevice::SetTracer(telemetry::Tracer* tracer) {
-  tracer_ = tracer;
-  if (tracer_ != nullptr) {
-    track_pipe_ = tracer_->RegisterTrack(name_);
-    track_recirc_ = tracer_->RegisterTrack(name_ + ".recirc");
-  }
-}
-
 void SwitchDevice::SetIntSink(telemetry::IntSink* sink) {
   int_ = sink;
   if (int_ == nullptr) return;
   int_hop_pipe_ = int_->Hop(name_ + ".pipeline");
   int_hop_recirc_ = int_->Hop(name_ + ".recirc");
+  int_hop_program_ = int_->Hop(name_ + ".program");
+  int_hop_cache_wait_ = int_->Hop(name_ + ".cache_wait");
   int_hist_pipe_ = int_->Hist("hop.pipeline.ns", "ns");
   int_hist_recirc_ = int_->Hist("hop.recirc.ns", "ns");
   if (program_ != nullptr) program_->OnIntAttached(*int_);
+}
+
+void SwitchDevice::StampProgram(const sim::Packet& pkt,
+                                telemetry::IntHopKind kind, SimTime since,
+                                const char* detail) {
+  telemetry::IntHop hop;
+  hop.at = since;
+  hop.hop = kind == telemetry::IntHopKind::kCacheWait ? int_hop_cache_wait_
+                                                       : int_hop_program_;
+  hop.kind = kind;
+  hop.latency_ns = sim_->now() - since;
+  hop.recirc_count = pkt.recirc_count;
+  hop.detail = detail;
+  int_->Stamp(pkt.int_id, hop);
 }
 
 void SwitchDevice::SetFlightRecorder(telemetry::FlightRecorder* recorder) {
@@ -132,9 +139,15 @@ void SwitchDevice::OnPacket(sim::PacketPtr pkt, int port) {
       // exists (the gauge was zeroed by FlushRecirculation).
       ++stats_.recirc_flushed;
       sim::MarkEnd(*pkt, sim::PacketEnd::kFlushedAtReset);
-      if (tracer_ != nullptr && pkt->trace_id != 0)
-        tracer_->Instant(track_recirc_, pkt->trace_id, "recirc_flushed",
-                         sim_->now());
+      if (int_ != nullptr && pkt->int_id != 0) {
+        telemetry::IntHop hop;
+        hop.at = sim_->now();
+        hop.hop = int_hop_recirc_;
+        hop.kind = telemetry::IntHopKind::kDrop;
+        hop.recirc_count = pkt->recirc_count;
+        hop.detail = "recirc_flushed";
+        int_->Stamp(pkt->int_id, hop);
+      }
       return;
     }
     pkt->from_recirc = true;
@@ -157,12 +170,6 @@ void SwitchDevice::OnPacket(sim::PacketPtr pkt, int port) {
 void SwitchDevice::Apply(const IngressResult& result, sim::PacketPtr pkt,
                          SimTime pipe_delay) {
   using Action = IngressResult::Action;
-  if (tracer_ != nullptr && pkt->trace_id != 0) {
-    // One span per traversal: queue-behind-the-pipe wait plus the fixed
-    // match-action latency, labeled with the action the program chose.
-    tracer_->Span(track_pipe_, pkt->trace_id, "pipeline", sim_->now(),
-                  pipe_delay, ActionName(result.action));
-  }
   if (flight_ != nullptr) {
     flight_->Note(flight_comp_, sim_->now(), ActionName(result.action),
                   static_cast<uint64_t>(pkt->msg.op), pkt->msg.seq);
@@ -170,6 +177,8 @@ void SwitchDevice::Apply(const IngressResult& result, sim::PacketPtr pkt,
   if (int_ != nullptr) {
     int_->Record(int_hist_pipe_, pipe_delay);
     if (pkt->int_id != 0) {
+      // One span per traversal: queue-behind-the-pipe wait plus the fixed
+      // match-action latency, labeled with the action the program chose.
       const SimTime queue_wait =
           pipe_delay -
           static_cast<SimTime>(resources_.config().pipeline_latency_ns);
@@ -180,6 +189,7 @@ void SwitchDevice::Apply(const IngressResult& result, sim::PacketPtr pkt,
       hop.latency_ns = pipe_delay;
       hop.queue_depth = queue_wait;
       hop.recirc_count = pkt->recirc_count;
+      hop.detail = ActionName(result.action);
       int_->Stamp(pkt->int_id, hop);
     }
   }
@@ -254,9 +264,6 @@ void SwitchDevice::Recirculate(sim::PacketPtr pkt, SimTime pipe_delay) {
   if (backlog_bytes + bytes > cfg.recirc_queue_bytes) {
     ++stats_.recirc_drops;
     sim::MarkEnd(*pkt, sim::PacketEnd::kDroppedRecirc);
-    if (tracer_ != nullptr && pkt->trace_id != 0)
-      tracer_->Instant(track_recirc_, pkt->trace_id, "recirc_overflow",
-                       sim_->now(), nullptr, bytes);
     if (int_ != nullptr && pkt->int_id != 0) {
       telemetry::IntHop hop;
       hop.at = sim_->now();
@@ -284,10 +291,6 @@ void SwitchDevice::Recirculate(sim::PacketPtr pkt, SimTime pipe_delay) {
   pkt->recirc_count++;
   pkt->recirc_generation = recirc_generation_;
   const SimTime loop = static_cast<SimTime>(cfg.recirc_loop_ns);
-  if (tracer_ != nullptr && pkt->trace_id != 0) {
-    tracer_->Span(track_recirc_, pkt->trace_id, "recirc", sim_->now(),
-                  done + loop - sim_->now(), nullptr, bytes);
-  }
   if (int_ != nullptr) {
     const SimTime orbit_ns = done + loop - sim_->now();
     int_->Record(int_hist_recirc_, orbit_ns);
@@ -303,14 +306,13 @@ void SwitchDevice::Recirculate(sim::PacketPtr pkt, SimTime pipe_delay) {
     }
   }
   // A reply entering the loop is a cache packet beginning its orbit: it
-  // will recirculate for the rest of the run. Trace/stamp the first pass,
-  // then detach the ids so a sampled request doesn't record forever.
-  // Requests (NetCache's recirculating reads) keep them across passes.
+  // will recirculate for the rest of the run. Stamp the first pass, then
+  // detach the flow id so a sampled request doesn't record forever.
+  // Requests (NetCache's recirculating reads) keep it across passes.
   switch (pkt->msg.op) {
     case proto::Op::kReadRep:
     case proto::Op::kWriteRep:
     case proto::Op::kFetchRep:
-      pkt->trace_id = 0;
       pkt->int_id = 0;
       break;
     default:

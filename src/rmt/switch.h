@@ -26,12 +26,11 @@
 #include "sim/network.h"
 #include "sim/node.h"
 #include "sim/simulator.h"
+#include "telemetry/int/int.h"
 
 namespace orbit::telemetry {
 class FlightRecorder;
-class IntSink;
 class Registry;
-class Tracer;
 }  // namespace orbit::telemetry
 
 namespace orbit::rmt {
@@ -133,25 +132,32 @@ class SwitchDevice : public sim::Node {
   const Stats& stats() const { return stats_; }
 
   // --- Telemetry (optional; near-zero cost when unset) ---------------------
-  // Attaches a request tracer. The device registers two tracks ("tor" for
-  // pipeline traversals, "tor.recirc" for recirculation passes) and emits
-  // spans only for packets whose trace_id is non-zero.
-  void SetTracer(telemetry::Tracer* tracer);
-  telemetry::Tracer* tracer() const { return tracer_; }
-  // Track for program-level instants (lookup hit/miss etc.) — the pipeline
-  // track, so program events interleave with traversal spans.
-  int trace_track() const { return track_pipe_; }
   // Registers switch.* counters and gauges against `reg`. Reads existing
   // Stats fields; nothing is consumed from the Resources ledger. `prefix`
   // scopes the names for multi-switch runs (e.g. "leaf0." -> counters like
   // "leaf0.switch.rx_packets"); the default keeps single-switch names.
   void RegisterTelemetry(telemetry::Registry& reg,
                          const std::string& prefix = "");
-  // INT attachment: interns this device's pipeline/recirc hop names and
-  // the shared hop-class latency histograms, then forwards to the
-  // program's OnIntAttached. Call after SetProgram.
+  // INT attachment: interns this device's hop names (<name>.pipeline,
+  // .recirc, .program, .cache_wait) and the shared hop-class latency
+  // histograms, then forwards to the program's OnIntAttached. Call after
+  // SetProgram.
   void SetIntSink(telemetry::IntSink* sink);
   telemetry::IntSink* int_sink() const { return int_; }
+  // Program-level stamps on a sampled packet's flow (no-op for unsampled
+  // packets): Note records a decision instant such as "lookup_miss" or
+  // "lookup_hit:absorb" (`detail` must be a string literal); NoteCacheWait
+  // records the span an absorbed request waited in the request table,
+  // from `enqueued_at` until the cache packet serving it passes now.
+  void Note(const sim::Packet& pkt, const char* detail) {
+    if (int_ != nullptr && pkt.int_id != 0)
+      StampProgram(pkt, telemetry::IntHopKind::kProgram, sim_->now(), detail);
+  }
+  void NoteCacheWait(const sim::Packet& pkt, SimTime enqueued_at) {
+    if (int_ != nullptr && pkt.int_id != 0)
+      StampProgram(pkt, telemetry::IntHopKind::kCacheWait, enqueued_at,
+                   nullptr);
+  }
   // Flight recorder: one ring per device noting every ingress decision.
   void SetFlightRecorder(telemetry::FlightRecorder* recorder);
 
@@ -160,6 +166,9 @@ class SwitchDevice : public sim::Node {
              SimTime pipe_delay);
   void SendOut(int port, sim::PacketPtr pkt, SimTime pipe_delay);
   void Recirculate(sim::PacketPtr pkt, SimTime pipe_delay);
+  // Stamps a program hop spanning [since, now) on pkt's flow.
+  void StampProgram(const sim::Packet& pkt, telemetry::IntHopKind kind,
+                    SimTime since, const char* detail);
 
   sim::Simulator* sim_;
   sim::Network* net_;
@@ -179,12 +188,11 @@ class SwitchDevice : public sim::Node {
   uint32_t recirc_generation_ = 0;
 
   // Telemetry sinks (not owned; may be null).
-  telemetry::Tracer* tracer_ = nullptr;
-  int track_pipe_ = -1;
-  int track_recirc_ = -1;
   telemetry::IntSink* int_ = nullptr;
   uint32_t int_hop_pipe_ = 0;
   uint32_t int_hop_recirc_ = 0;
+  uint32_t int_hop_program_ = 0;
+  uint32_t int_hop_cache_wait_ = 0;
   uint32_t int_hist_pipe_ = 0;
   uint32_t int_hist_recirc_ = 0;
   telemetry::FlightRecorder* flight_ = nullptr;

@@ -8,6 +8,15 @@
 
 namespace orbit::sim {
 
+const char* DropReasonName(DropReason reason) {
+  switch (reason) {
+    case DropReason::kQueueOverflow: return "queue_overflow";
+    case DropReason::kInjectedLoss: return "injected_loss";
+    case DropReason::kLinkDown: return "link_down";
+  }
+  return "?";
+}
+
 Link::Link(Simulator* sim, Node* a, int port_a, Node* b, int port_b,
            const LinkConfig& config)
     : sim_(sim), config_(config), loss_rng_(config.loss_seed) {
@@ -111,8 +120,9 @@ void Link::Send(int from, PacketPtr pkt, SimTime extra_delay) {
   ch.stats.bytes += bytes;
 
   if (int_ != nullptr) {
-    // Hop latency = queue wait + serialization + propagation; the
-    // sender's extra_delay is its own processing, stamped by that hop.
+    // Hop latency = queue wait + serialization + propagation, from the
+    // moment the packet reaches the port; the sender's extra_delay is its
+    // own processing, stamped by that hop.
     const SimTime hop_latency = (done - ready) + config_.propagation;
     if (int_latency_hist_ != nullptr) {
       ch.int_queue_hist->RecordFast(static_cast<int64_t>(backlog_bytes));
@@ -120,7 +130,7 @@ void Link::Send(int from, PacketPtr pkt, SimTime extra_delay) {
     }
     if (pkt->int_id != 0) {
       telemetry::IntHop hop;
-      hop.at = sim_->now();
+      hop.at = ready;
       hop.hop = ch.int_hop;
       hop.kind = telemetry::IntHopKind::kLink;
       hop.latency_ns = hop_latency;
@@ -129,9 +139,6 @@ void Link::Send(int from, PacketPtr pkt, SimTime extra_delay) {
       int_->Stamp(pkt->int_id, hop);
     }
   }
-
-  if (tap_ != nullptr && *tap_)
-    (*tap_)(*pkt, chans_[1 - from].to, ch.to, sim_->now());
 
   // The packet lands at the far end after propagation (plus any injected
   // gray-link latency for this direction).

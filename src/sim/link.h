@@ -10,18 +10,32 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "common/random.h"
 #include "common/types.h"
 #include "sim/packet.h"
-#include "sim/trace.h"
 #include "telemetry/int/int.h"
 
 namespace orbit::sim {
 
 class Node;
 class Simulator;
+
+// Why a packet died before reaching the wire.
+enum class DropReason {
+  kQueueOverflow,  // link egress queue full (drop-tail)
+  kInjectedLoss,   // LinkConfig loss_rate / burst_loss coin
+  kLinkDown,       // fault injection took the link down
+};
+const char* DropReasonName(DropReason reason);
+
+// Fires at the moment a packet is discarded instead of committed to a
+// link. `from`/`to` are the link endpoints the packet would have traveled
+// between.
+using DropTapFn = std::function<void(const Packet& pkt, Node* from, Node* to,
+                                     DropReason reason, SimTime at)>;
 
 // Two-state Gilbert–Elliott burst-loss model. The channel sits in a
 // "good" or "bad" state; each packet first moves the state with the
@@ -96,11 +110,8 @@ class Link {
     return chans_[from].degrade_loss > 0 || chans_[from].degrade_latency > 0;
   }
 
-  // Port-mirroring tap (owned by the Network); observes packets that were
-  // actually committed to the wire.
-  void set_tap(const TapFn* tap) { tap_ = tap; }
   // Drop tap (owned by the Network); observes packets discarded at this
-  // link — queue overflow and injected loss — which the commit tap misses.
+  // link: queue overflow, injected loss and link-down discards.
   void set_drop_tap(const DropTapFn* tap) { drop_tap_ = tap; }
 
   // INT attachment for direction `from` (0 = a->b, 1 = b->a): `hop` is
@@ -144,7 +155,6 @@ class Link {
   Rng loss_rng_;
   bool down_ = false;
   bool in_bad_state_ = false;
-  const TapFn* tap_ = nullptr;
   const DropTapFn* drop_tap_ = nullptr;
   telemetry::IntSink* int_ = nullptr;
   stats::Histogram* int_latency_hist_ = nullptr;

@@ -38,13 +38,9 @@ class Network {
   // Non-const access for attach-time instrumentation (INT hop ids).
   Link* mutable_link(size_t i) { return links_[i].get(); }
 
-  // Installs a fabric-wide packet tap (port mirroring); applies to links
-  // created before and after the call. Pass {} to remove.
-  void SetTap(TapFn tap);
-
   // Installs a fabric-wide drop tap: fires for packets discarded at a link
-  // (queue overflow, injected loss) that the commit tap never sees. Same
-  // lifetime rules as SetTap. Pass {} to remove.
+  // (queue overflow, injected loss, link down); applies to links created
+  // before and after the call. Pass {} to remove.
   void SetDropTap(DropTapFn tap);
 
  private:
@@ -56,7 +52,6 @@ class Network {
   Simulator* sim_;
   std::vector<std::unique_ptr<Link>> links_;
   std::unordered_map<Node*, std::vector<PortSlot>> ports_;
-  TapFn tap_;
   DropTapFn drop_tap_;
 };
 

@@ -29,7 +29,6 @@ void Packet::Reset() {
   from_recirc = false;
   recirc_count = 0;
   recirc_generation = 0;
-  trace_id = 0;
   int_id = 0;
   end_reason = PacketEnd::kNone;
 }
@@ -46,7 +45,6 @@ void Packet::CopyFrom(const Packet& other) {
   from_recirc = other.from_recirc;
   recirc_count = other.recirc_count;
   recirc_generation = other.recirc_generation;
-  trace_id = other.trace_id;
   int_id = other.int_id;
 }
 

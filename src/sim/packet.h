@@ -69,15 +69,11 @@ struct Packet {
   // barrier are discarded on delivery (a real ASIC reset loses them).
   uint32_t recirc_generation = 0;
 
-  // Telemetry: non-zero marks a sampled request (telemetry::MakeTraceId of
-  // the originating client and seq). Purely observational — forwarding
-  // decisions never read it. Clones inherit it; replies copy it from the
-  // request so one id follows the whole lifecycle.
-  uint64_t trace_id = 0;
-
-  // INT postcard handle (telemetry::IntSink flow id): non-zero marks a
-  // flow whose hops stamp per-hop records. Same observational-only and
-  // clone/reply inheritance rules as trace_id.
+  // Hop-event stream handle (telemetry::IntSink flow id): non-zero marks
+  // a sampled request whose hops stamp per-hop records. Purely
+  // observational — forwarding decisions never read it. Clones inherit
+  // it; replies copy it from the request so one id follows the whole
+  // lifecycle.
   uint32_t int_id = 0;
 
   // How this packet's life ended (see PacketEnd). Observational only;

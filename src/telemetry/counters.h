@@ -29,7 +29,6 @@
 #include "common/check.h"
 #include "common/types.h"
 #include "telemetry/int/int.h"
-#include "telemetry/trace.h"
 
 namespace orbit::telemetry {
 
@@ -109,19 +108,14 @@ class Registry {
 // Everything one instrumented testbed run captured; owned by the caller
 // (harness runner slot or test) and filled by RunTestbed.
 struct RunCapture {
-  std::vector<std::string> tracks;    // trace track names, id = index
-  std::vector<TraceEvent> events;     // causally ordered trace events
   std::vector<Snapshot> snapshots;    // periodic + final registry samples
-  IntCapture int_capture;             // INT postcards + histogram snapshots
+  IntCapture int_capture;             // hop-event stream + histogram snapshots
   std::string flight_dump;            // flight-recorder text; "" = no dumps
 
   bool empty() const {
-    return events.empty() && snapshots.empty() && int_capture.empty() &&
-           flight_dump.empty();
+    return snapshots.empty() && int_capture.empty() && flight_dump.empty();
   }
   void Clear() {
-    tracks.clear();
-    events.clear();
     snapshots.clear();
     int_capture.Clear();
     flight_dump.clear();

@@ -1,6 +1,5 @@
 #include "telemetry/export.h"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
@@ -55,6 +54,36 @@ void AppendMeta(std::string* out, int pid, int tid, const char* kind,
   *out += R"("}})";
 }
 
+// A complete span ("X") when dur > 0, else a thread-scoped instant; `args`
+// is the rendered body of the event's args object.
+void AppendEvent(std::string* out, int pid, uint32_t tid, SimTime ts,
+                 SimTime dur, const char* name, const char* detail,
+                 const char* args, bool* first) {
+  if (!*first) *out += ",\n";
+  *first = false;
+  char head[64];
+  std::snprintf(head, sizeof(head), R"({"ph":"%s","pid":%d,"tid":%u,)",
+                dur > 0 ? "X" : "i", pid, tid);
+  *out += head;
+  *out += "\"ts\":";
+  AppendMicros(out, ts);
+  if (dur > 0) {
+    *out += ",\"dur\":";
+    AppendMicros(out, dur);
+  } else {
+    *out += ",\"s\":\"t\"";  // instant scope: thread
+  }
+  *out += ",\"name\":\"";
+  *out += name;
+  if (detail != nullptr) {
+    *out += ':';
+    *out += detail;
+  }
+  *out += "\",\"cat\":\"telemetry\",\"args\":{";
+  *out += args;
+  *out += "}}";
+}
+
 }  // namespace
 
 std::string ChromeTraceJson(const std::vector<LabeledCapture>& processes) {
@@ -62,95 +91,42 @@ std::string ChromeTraceJson(const std::vector<LabeledCapture>& processes) {
   out.reserve(1024);
   out += "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
   bool first = true;
+  char args[160];
   for (size_t pid = 0; pid < processes.size(); ++pid) {
     const auto& [label, cap] = processes[pid];
     if (cap == nullptr) continue;
-    AppendMeta(&out, static_cast<int>(pid), -1, "process_name", label, &first);
-    for (size_t tid = 0; tid < cap->tracks.size(); ++tid)
-      AppendMeta(&out, static_cast<int>(pid), static_cast<int>(tid),
-                 "thread_name", cap->tracks[tid], &first);
-    for (const TraceEvent& ev : cap->events) {
-      if (!first) out += ",\n";
-      first = false;
-      char head[64];
-      std::snprintf(head, sizeof(head), R"({"ph":"%s","pid":%d,"tid":%d,)",
-                    ev.dur > 0 ? "X" : "i", static_cast<int>(pid), ev.track);
-      out += head;
-      out += "\"ts\":";
-      AppendMicros(&out, ev.ts);
-      if (ev.dur > 0) {
-        out += ",\"dur\":";
-        AppendMicros(&out, ev.dur);
-      } else {
-        out += ",\"s\":\"t\"";  // instant scope: thread
+    const int p = static_cast<int>(pid);
+    AppendMeta(&out, p, -1, "process_name", label, &first);
+    for (size_t tid = 0; tid < cap->hop_names.size(); ++tid)
+      AppendMeta(&out, p, static_cast<int>(tid), "thread_name",
+                 cap->hop_names[tid], &first);
+    const uint32_t faults_tid = static_cast<uint32_t>(cap->hop_names.size());
+    if (!cap->marks.empty())
+      AppendMeta(&out, p, static_cast<int>(faults_tid), "thread_name",
+                 "faults", &first);
+    for (const IntFlowRec& flow : cap->flows) {
+      std::snprintf(args, sizeof(args), "\"flow\":%" PRIu64, flow.flow_id);
+      if (flow.finished_at > 0 && !flow.hops.empty())
+        AppendEvent(&out, p, flow.hops.front().hop, flow.started_at,
+                    flow.finished_at - flow.started_at, "request",
+                    flow.outcome, args, &first);
+      for (const IntHop& hop : flow.hops) {
+        std::snprintf(args, sizeof(args),
+                      "\"flow\":%" PRIu64 ",\"queue_depth\":%" PRId64
+                      ",\"recirc\":%" PRIu32 ",\"drop\":%u",
+                      flow.flow_id, hop.queue_depth, hop.recirc_count,
+                      static_cast<unsigned>(hop.drop_reason));
+        AppendEvent(&out, p, hop.hop, hop.at, hop.latency_ns,
+                    IntHopKindName(hop.kind), hop.detail, args, &first);
       }
-      out += ",\"name\":\"";
-      out += ev.name;
-      if (ev.detail != nullptr) {
-        out += ':';
-        out += ev.detail;
-      }
-      out += "\",\"cat\":\"telemetry\",\"args\":{\"trace_id\":";
-      char num[32];
-      std::snprintf(num, sizeof(num), "%" PRIu64, ev.trace_id);
-      out += num;
-      if (ev.value != 0) {
-        std::snprintf(num, sizeof(num), ",\"value\":%" PRIu64, ev.value);
-        out += num;
-      }
-      out += "}}";
+    }
+    for (const IntMark& mark : cap->marks) {
+      std::snprintf(args, sizeof(args), "\"value\":%" PRIu64, mark.value);
+      AppendEvent(&out, p, faults_tid, mark.at, 0, mark.name, nullptr, args,
+                  &first);
     }
   }
   out += "\n]}\n";
-  return out;
-}
-
-std::string FormatHopBreakdown(const std::vector<RequestSummary>& summaries) {
-  struct Agg {
-    std::string name;
-    uint64_t count = 0;
-    SimTime min = 0;
-    SimTime max = 0;
-    SimTime sum = 0;
-  };
-  Agg total{"request (end-to-end)", 0, 0, 0, 0};
-  std::vector<Agg> hops;
-  auto fold = [](Agg& a, SimTime d) {
-    if (a.count == 0 || d < a.min) a.min = d;
-    if (d > a.max) a.max = d;
-    a.sum += d;
-    ++a.count;
-  };
-  for (const RequestSummary& s : summaries) {
-    if (s.total > 0) fold(total, s.total);
-    for (const auto& [name, dur] : s.hops) {
-      auto it = std::find_if(hops.begin(), hops.end(),
-                             [&](const Agg& a) { return a.name == name; });
-      if (it == hops.end()) {
-        hops.push_back(Agg{name, 0, 0, 0, 0});
-        it = hops.end() - 1;
-      }
-      fold(*it, dur);
-    }
-  }
-
-  std::string out;
-  char line[160];
-  std::snprintf(line, sizeof(line), "%-24s %10s %12s %12s %12s\n", "hop",
-                "requests", "min_us", "mean_us", "max_us");
-  out += line;
-  auto row = [&](const Agg& a) {
-    if (a.count == 0) return;
-    std::snprintf(line, sizeof(line), "%-24s %10llu %12.3f %12.3f %12.3f\n",
-                  a.name.c_str(), static_cast<unsigned long long>(a.count),
-                  static_cast<double>(a.min) / 1e3,
-                  static_cast<double>(a.sum) / static_cast<double>(a.count) /
-                      1e3,
-                  static_cast<double>(a.max) / 1e3);
-    out += line;
-  };
-  row(total);
-  for (const Agg& a : hops) row(a);
   return out;
 }
 

@@ -22,6 +22,10 @@ const char* IntHopKindName(IntHopKind kind) {
       return "client_rx";
     case IntHopKind::kDrop:
       return "drop";
+    case IntHopKind::kProgram:
+      return "program";
+    case IntHopKind::kCacheWait:
+      return "cache_wait";
   }
   return "?";
 }
@@ -76,6 +80,8 @@ void IntSink::Drain(IntCapture* out) {
   out->hop_names = hop_names_;
   out->flows = std::move(flows_);
   flows_.clear();
+  out->marks = std::move(marks_);
+  marks_.clear();
   out->hists.clear();
   for (NamedHist& h : hists_) {
     // RecordFast populations carry only buckets until finalized here.

@@ -1,26 +1,28 @@
-// In-band network telemetry (INT), modelled on INT-MD postcards.
+// The hop-event stream: per-request records modelled on INT-MD postcards.
 //
 // Real INT-MD switches stamp per-hop metadata (hop id, queue depth, hop
 // latency) into packets as they traverse the fabric; a sink strips the
 // stack and exports postcards to a collector. We model the same thing in
 // simulation terms: a packet carries a compact `int_id` handle, every
-// instrumented hop appends an IntHop record to the flow owned by that id
-// inside the IntSink, and the run's capture exports the collected flows
-// as JSONL. Sampling is structural (seq % sample_every == 0, per client),
-// exactly like the request tracer, so serial and `--jobs N` runs collect
-// byte-identical postcards.
+// instrumented site appends an IntHop record to the flow owned by that id
+// inside the IntSink — client send/receive, links, pipeline passes and the
+// program's decisions, the request-table wait, recirculation, server
+// queue/process, drops — and the run's IntCapture is exported as Chrome
+// trace-event JSON (telemetry/export.h) or as postcard JSONL
+// (harness/telemetry_io.h). Sampling is structural (seq % sample_every
+// == 0, per client), so serial and `--jobs N` runs collect byte-identical
+// streams.
 //
-// On top of the sampled postcards the sink owns a set of *always-on*
+// On top of the sampled flows the sink owns a set of *always-on*
 // log-bucketed HDR-style histograms (stats::Histogram): latency per hop
 // class, queue depth per link direction, orbit count per cached key,
 // value size. Recording is a couple of arithmetic ops plus a bucket
 // increment — cheap enough to run unsampled — and everything is keyed by
 // interned ids resolved once at attach time, never per packet.
 //
-// Results-neutrality contract (same as the request tracer): the sink
-// schedules no simulator events, draws no randomness, and no forwarding
-// decision ever reads `int_id`, so enabling INT cannot change a run's
-// metrics or fingerprint.
+// Results-neutrality contract: the sink schedules no simulator events,
+// draws no randomness, and no forwarding decision ever reads `int_id`, so
+// enabling the stream cannot change a run's metrics or fingerprint.
 #pragma once
 
 #include <cstdint>
@@ -47,13 +49,19 @@ enum class IntHopKind : uint8_t {
   kServerProcess,  // server service time
   kClientRx,       // reply back at the client (end of flow)
   kDrop,           // packet died here (drop_reason says why)
+  kProgram,        // a switch program decision (detail names it)
+  kCacheWait,      // absorbed request waiting for its cache packet
 };
 const char* IntHopKindName(IntHopKind kind);
 
-// One stamped hop. `hop` indexes IntCapture::hop_names. Timestamps are
-// simulated time, latencies are the delay this hop *added* (queue wait +
-// service for that hop class), queue_depth is the depth seen on arrival
-// (bytes for links, waiting-ns for pipeline/server queues).
+// One stamped hop. `hop` indexes IntCapture::hop_names. The hop is the
+// span [at, at + latency_ns) of simulated time — the delay it *added*
+// (queue wait + service for that hop class) — or an instant when
+// latency_ns is 0. queue_depth is the depth seen on arrival (bytes for
+// links and the recirculation port, waiting ns for the pipeline, requests
+// for a server or client). `detail` qualifies the kind: the pipeline's
+// action ("multicast"), the program's decision ("lookup_hit:absorb"),
+// "retransmit" on a repeated client_tx.
 struct IntHop {
   SimTime at = 0;
   uint32_t hop = 0;
@@ -61,12 +69,19 @@ struct IntHop {
   int64_t latency_ns = 0;
   int64_t queue_depth = 0;
   uint32_t recirc_count = 0;
-  uint8_t drop_reason = 0;  // 0 = none, else 1 + sim::DropReason
+  uint8_t drop_reason = 0;       // 0 = none, else 1 + sim::DropReason
+  const char* detail = nullptr;  // static string literal, or null
 };
+
+// Stable flow identity: client address in the high 32 bits, the
+// client-assigned sequence number in the low 32.
+inline uint64_t MakeFlowId(Addr client, uint32_t seq) {
+  return (static_cast<uint64_t>(client) << 32) | seq;
+}
 
 // A collected postcard stream for one sampled request flow.
 struct IntFlowRec {
-  uint64_t flow_id = 0;  // (client_addr << 32) | seq, like MakeTraceId
+  uint64_t flow_id = 0;  // MakeFlowId(client_addr, seq)
   uint8_t op = 0;        // proto::Op of the originating request
   SimTime started_at = 0;
   SimTime finished_at = 0;      // 0 = never completed (timeout / in flight)
@@ -91,17 +106,28 @@ struct HistSnapshot {
   int64_t p999 = 0;
 };
 
+// A run-level event that belongs to no request, e.g. an injected fault.
+struct IntMark {
+  SimTime at = 0;
+  const char* name = "";  // static string literal
+  uint64_t value = 0;     // server / rack / spine index, 0 when none
+};
+
 // Everything the INT layer collected for one run; lives inside
-// telemetry::RunCapture next to trace events and counter snapshots.
+// telemetry::RunCapture next to the counter snapshots.
 struct IntCapture {
   std::vector<std::string> hop_names;  // IntHop::hop indexes this
   std::vector<IntFlowRec> flows;
+  std::vector<IntMark> marks;
   std::vector<HistSnapshot> hists;
 
-  bool empty() const { return flows.empty() && hists.empty(); }
+  bool empty() const {
+    return flows.empty() && marks.empty() && hists.empty();
+  }
   void Clear() {
     hop_names.clear();
     flows.clear();
+    marks.clear();
     hists.clear();
   }
 };
@@ -112,8 +138,8 @@ struct IntCapture {
 class IntSink {
  public:
   struct Options {
-    // Postcard sampling: a request is collected iff seq % sample_every
-    // == 0 for its client. 0 disables postcards entirely.
+    // Stream sampling: a request is collected iff seq % sample_every == 0
+    // for its client. 0 disables flows and marks entirely.
     uint32_t sample_every = 0;
     // Always-on histograms (recorded for every packet, not just sampled
     // flows).
@@ -164,6 +190,12 @@ class IntSink {
   // Marks the flow complete. `outcome` must be a static string literal.
   void FinishFlow(uint32_t int_id, SimTime at, const char* outcome);
 
+  // Records a run-level mark (no-op unless postcards are on). `name` must
+  // be a static string literal.
+  void Mark(SimTime at, const char* name, uint64_t value) {
+    if (postcards_on()) marks_.push_back({at, name, value});
+  }
+
   // Moves collected flows and snapshots the histograms into `out`.
   // Call once at end of run; empty histograms are skipped.
   void Drain(IntCapture* out);
@@ -187,6 +219,7 @@ class IntSink {
   std::deque<NamedHist> hists_;  // deque: MutableHist pointers stay valid
   std::unordered_map<std::string, uint32_t> hist_ids_;
   std::vector<IntFlowRec> flows_;
+  std::vector<IntMark> marks_;
 };
 
 }  // namespace orbit::telemetry

@@ -23,7 +23,6 @@
 #include "telemetry/int/flight.h"
 #include "telemetry/int/int.h"
 #include "telemetry/netstats.h"
-#include "telemetry/trace.h"
 #include "testbed/constants.h"
 #include "testbed/workload_source.h"
 #include "verify/verify.h"
@@ -503,20 +502,19 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
 
   // ---- telemetry ----------------------------------------------------------
   // Built only when a capture sink is attached; otherwise every component
-  // keeps its null tracer and the run is indistinguishable from an
-  // uninstrumented one. Trace tracks are named after the devices, so a
-  // sampled request's packet-borne trace id stitches its leaf→spine→leaf
-  // hops into one causal timeline.
-  std::unique_ptr<telemetry::Tracer> tracer;
+  // keeps its null sink and the run is indistinguishable from an
+  // uninstrumented one. Hop names carry the device names, so a sampled
+  // request's packet-borne flow id stitches its leaf→spine→leaf hops into
+  // one causal timeline.
   std::unique_ptr<telemetry::Registry> registry;
   std::unique_ptr<telemetry::IntSink> int_sink;
   std::unique_ptr<telemetry::FlightRecorder> flight;
   std::unique_ptr<ScopedCheckFailureHook> check_hook;
   const bool capture_on = config.telemetry.capture != nullptr;
   if (capture_on) {
-    if (config.telemetry.int_sample > 0 || config.telemetry.histograms) {
+    if (config.telemetry.trace_sample > 0 || config.telemetry.histograms) {
       telemetry::IntSink::Options iopt;
-      iopt.sample_every = config.telemetry.int_sample;
+      iopt.sample_every = config.telemetry.trace_sample;
       iopt.histograms = config.telemetry.histograms;
       int_sink = std::make_unique<telemetry::IntSink>(iopt);
       telemetry::AttachLinkInt(*int_sink, net);
@@ -525,7 +523,7 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
       for (auto& srv : servers) srv->SetIntSink(int_sink.get());
       for (auto& c : clients) c->SetIntSink(int_sink.get());
     }
-    if (config.telemetry.flight_recorder || config.telemetry.flight_end_dump) {
+    if (config.telemetry.flight_recorder) {
       flight = std::make_unique<telemetry::FlightRecorder>();
       for (int r = 0; r < racks; ++r)
         topo.leaf(r).SetFlightRecorder(flight.get());
@@ -544,14 +542,6 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
             flight->TriggerDump(sim.now(), "check failure: " + what);
             cap->flight_dump = flight->DumpText();
           });
-    }
-    if (config.telemetry.trace_sample > 0) {
-      tracer =
-          std::make_unique<telemetry::Tracer>(config.telemetry.trace_sample);
-      for (int r = 0; r < racks; ++r) topo.leaf(r).SetTracer(tracer.get());
-      for (int s = 0; s < spines; ++s) topo.spine(s).SetTracer(tracer.get());
-      for (auto& srv : servers) srv->SetTracer(tracer.get());
-      for (auto& c : clients) c->SetTracer(tracer.get());
     }
     registry = std::make_unique<telemetry::Registry>();
     // Switch-scope counters get per-leaf / per-spine prefixes on a fabric;
@@ -590,7 +580,7 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
       }
     });
     if (injector != nullptr)
-      injector->RegisterTelemetry(registry.get(), tracer.get());
+      injector->RegisterTelemetry(registry.get(), int_sink.get());
     if (failover != nullptr) failover->RegisterTelemetry(registry.get());
     if (fab_ctrl != nullptr) fab_ctrl->RegisterTelemetry(*registry);
   }
@@ -856,15 +846,10 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
         telemetry_snapshots.push_back(registry->Sample(sim.now()));
       cap->snapshots = std::move(telemetry_snapshots);
     }
-    if (tracer != nullptr) {
-      cap->tracks = tracer->TakeTracks();
-      cap->events = tracer->TakeEvents();
-    }
     if (int_sink != nullptr) int_sink->Drain(&cap->int_capture);
     if (flight != nullptr) {
-      if (config.telemetry.flight_end_dump)
-        flight->TriggerDump(sim.now(), "end of run");
-      if (flight->HasDumps()) cap->flight_dump = flight->DumpText();
+      flight->TriggerDump(sim.now(), "end of run");
+      cap->flight_dump = flight->DumpText();
     }
   }
 

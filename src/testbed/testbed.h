@@ -143,25 +143,21 @@ struct TestbedConfig {
   SimTime timeline_bin = 0;
 
   // Telemetry (observability only). With `capture` null — the default —
-  // no tracer or registry is built and results are byte-identical to an
+  // no sink or registry is built and results are byte-identical to an
   // uninstrumented build. Excluded from ConfigJson/ConfigFingerprint:
   // instrumentation must never change a run's identity.
   struct Telemetry {
     // Caller-owned sink; setting it enables instrumentation for this run.
     telemetry::RunCapture* capture = nullptr;
-    // Trace every Nth request per client (0 disables span collection).
+    // Hop-event stream: record every Nth request per client (0 disables).
     uint32_t trace_sample = 64;
     // Counter snapshot period; 0 = only the final end-of-run snapshot.
     SimTime snapshot_interval = 0;
-    // INT postcards: stamp per-hop records on every Nth request per client
-    // (0 disables postcard collection).
-    uint32_t int_sample = 0;
     // Always-on per-hop-class/per-link histograms (unsampled).
     bool histograms = false;
-    // Per-component event rings; dumped on faults, check failures, or —
-    // with flight_end_dump — unconditionally at end of run.
+    // Per-component event rings, dumped on faults, on check failures and
+    // at end of run.
     bool flight_recorder = false;
-    bool flight_end_dump = false;
   };
   Telemetry telemetry;
 

@@ -1,7 +1,7 @@
 // Leaf–spine fabric (src/fabric/): config validation and fingerprinting,
 // end-to-end scale-out runs through RunTestbed (including the one-rack ≡
 // single-ToR oracle), per-leaf / per-spine / per-link telemetry,
-// cross-switch trace stitching, and the determinism guarantees the harness
+// cross-switch flow stitching, and the determinism guarantees the harness
 // relies on (serial == parallel bytes, equal-time FIFO ordering across
 // spine hops).
 #include "fabric/topology.h"
@@ -223,41 +223,30 @@ TEST(FabricTestbed, TelemetryCoversLeavesSpinesAndLinks) {
   EXPECT_EQ(overflow_counters, down_counters);
 }
 
-TEST(FabricTestbed, TraceIdsSurviveLeafSpineLeafHops) {
+TEST(FabricTestbed, FlowIdsSurviveLeafSpineLeafHops) {
   TestbedConfig cfg = SmallFabricConfig(Scheme::kOrbitCache, 2);
   telemetry::RunCapture cap;
   cfg.telemetry.capture = &cap;
   cfg.telemetry.trace_sample = 8;
   (void)RunTestbed(cfg);
 
-  const auto track_id = [&cap](const std::string& name) {
-    for (size_t i = 0; i < cap.tracks.size(); ++i)
-      if (cap.tracks[i] == name) return static_cast<int>(i);
-    return -1;
-  };
-  const int leaf0 = track_id("leaf0");
-  const int leaf1 = track_id("leaf1");
-  const int spine0 = track_id("spine0");
-  ASSERT_GE(leaf0, 0);
-  ASSERT_GE(leaf1, 0);
-  ASSERT_GE(spine0, 0);
-
-  // A sampled cross-rack request keeps its packet-borne trace id through
-  // every hop: the same id must appear on a leaf track and on the spine.
+  // A sampled cross-rack request keeps its packet-borne flow id through
+  // every hop: one flow records pipeline passes on both leaves and on the
+  // spine between them.
+  const telemetry::IntCapture& ic = cap.int_capture;
   bool stitched = false;
-  for (const telemetry::TraceEvent& spine_ev : cap.events) {
-    if (spine_ev.track != spine0 || spine_ev.trace_id == 0) continue;
-    for (const telemetry::TraceEvent& leaf_ev : cap.events) {
-      if (leaf_ev.trace_id != spine_ev.trace_id) continue;
-      if (leaf_ev.track == leaf0 || leaf_ev.track == leaf1) {
-        stitched = true;
-        break;
-      }
+  for (const telemetry::IntFlowRec& flow : ic.flows) {
+    bool leaf0 = false, leaf1 = false, spine0 = false;
+    for (const telemetry::IntHop& hop : flow.hops) {
+      const std::string& name = ic.hop_names.at(hop.hop);
+      leaf0 = leaf0 || name == "leaf0.pipeline";
+      leaf1 = leaf1 || name == "leaf1.pipeline";
+      spine0 = spine0 || name == "spine0.pipeline";
     }
+    stitched = leaf0 && leaf1 && spine0;
     if (stitched) break;
   }
-  EXPECT_TRUE(stitched)
-      << "no trace id shared between a leaf track and the spine track";
+  EXPECT_TRUE(stitched) << "no flow crosses leaf0, spine0 and leaf1";
 }
 
 TEST(FabricTestbed, TelemetryIsResultsNeutral) {

@@ -129,6 +129,28 @@ TEST(RunExperiments, FailingPointIsIsolated) {
   EXPECT_DOUBLE_EQ(out.records[2].Metric("x"), 3.0);
 }
 
+// --verify covers every point, fabric ones included: the runner turns the
+// checker on in each point's config before the RunFn sees it.
+TEST(RunExperiments, VerifyCoversFabricPoints) {
+  ExperimentSpec spec;
+  spec.name = "unit_verify_fabric";
+  spec.apply_paper_scale = false;
+  spec.base.topo.fabric.num_racks = 2;
+  spec.axes = {NumericAxis("x", {1}, nullptr)};
+  spec.run = [](const PointRun& p, SaturationCache&) {
+    JsonValue m = JsonValue::MakeObject();
+    m.Set("verify", p.config.verify.enabled);
+    return m;
+  };
+  RunnerOptions options;
+  options.progress = false;
+  options.verify = true;
+  const RunOutcome out = RunExperiments({spec}, options);
+  ASSERT_EQ(out.records.size(), 1u);
+  ASSERT_TRUE(out.records[0].ok()) << out.records[0].error;
+  EXPECT_TRUE(out.records[0].metrics.Find("verify")->AsBool());
+}
+
 TEST(RunExperiments, PointTimeoutRecordsErrorAndContinues) {
   ExperimentSpec spec = TinySimSpec();
   spec.name = "unit_timeout";

@@ -1,8 +1,8 @@
 // INT subsystem coverage: sink/recorder unit behavior, an instrumented
-// run fills the INT capture, INT is results-neutral, postcards and
-// histogram merges are byte-identical serial vs --jobs N, flight dumps
-// are byte-stable for a fixed seed, and duplicate telemetry registration
-// is rejected naming both registrants.
+// run fills the INT capture, postcards and histogram merges are
+// byte-identical serial vs --jobs N, flight dumps are byte-stable for a
+// fixed seed, and duplicate telemetry registration is rejected naming
+// both registrants.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -27,14 +27,16 @@ TEST(IntSink, InterningIsStableAndShared) {
   telemetry::IntSink sink({/*sample_every=*/4, /*histograms=*/true});
   const uint32_t a = sink.Hop("hop.link.ns");
   const uint32_t b = sink.Hop("leaf0.pipeline");
-  EXPECT_NE(a, b);
+  // Dense ids in interning order: the Chrome export uses them as rows.
+  EXPECT_EQ(a, 0u);
+  EXPECT_EQ(b, 1u);
   // Same name -> same id: shared class names aggregate across devices.
   EXPECT_EQ(a, sink.Hop("hop.link.ns"));
   EXPECT_EQ(sink.Hist("value.bytes", "bytes"),
             sink.Hist("value.bytes", "bytes"));
 }
 
-TEST(IntSink, StructuralSamplingMatchesTracer) {
+TEST(IntSink, StructuralSampling) {
   telemetry::IntSink sink({/*sample_every=*/8, /*histograms=*/false});
   EXPECT_TRUE(sink.Sampled(0));
   EXPECT_FALSE(sink.Sampled(1));
@@ -42,6 +44,33 @@ TEST(IntSink, StructuralSamplingMatchesTracer) {
   telemetry::IntSink off({/*sample_every=*/0, /*histograms=*/false});
   EXPECT_FALSE(off.postcards_on());
   EXPECT_FALSE(off.Sampled(0));
+}
+
+TEST(IntSink, FlowIdEncodesClientAndSeq) {
+  const uint64_t id = telemetry::MakeFlowId(0x0a000001, 42);
+  EXPECT_EQ(id >> 32, 0x0a000001u);
+  EXPECT_EQ(id & 0xffffffffu, 42u);
+  EXPECT_NE(telemetry::MakeFlowId(1, 7), telemetry::MakeFlowId(2, 7));
+  EXPECT_NE(telemetry::MakeFlowId(1, 7), telemetry::MakeFlowId(1, 8));
+}
+
+// Run-level marks belong to the sampled stream: a sink that records no
+// flows records no marks either.
+TEST(IntSink, MarksFollowTheSamplingKnob) {
+  telemetry::IntSink off({/*sample_every=*/0, /*histograms=*/true});
+  off.Mark(5, "switch_reset", 0);
+  telemetry::IntCapture cap_off;
+  off.Drain(&cap_off);
+  EXPECT_TRUE(cap_off.marks.empty());
+
+  telemetry::IntSink on({/*sample_every=*/64, /*histograms=*/false});
+  on.Mark(5, "server_crash", 3);
+  telemetry::IntCapture cap_on;
+  on.Drain(&cap_on);
+  ASSERT_EQ(cap_on.marks.size(), 1u);
+  EXPECT_EQ(cap_on.marks[0].at, 5);
+  EXPECT_STREQ(cap_on.marks[0].name, "server_crash");
+  EXPECT_EQ(cap_on.marks[0].value, 3u);
 }
 
 TEST(IntSink, FlowCollectsHopsAndTruncatesPastCap) {
@@ -165,10 +194,9 @@ TEST(IntTestbed, InstrumentedRunFillsIntCapture) {
   telemetry::RunCapture cap;
   testbed::TestbedConfig cfg = TinyConfig(testbed::Scheme::kOrbitCache);
   cfg.telemetry.capture = &cap;
-  cfg.telemetry.int_sample = 8;
+  cfg.telemetry.trace_sample = 8;
   cfg.telemetry.histograms = true;
   cfg.telemetry.flight_recorder = true;
-  cfg.telemetry.flight_end_dump = true;
   testbed::RunTestbed(cfg);
 
   ASSERT_FALSE(cap.int_capture.flows.empty());
@@ -195,42 +223,18 @@ TEST(IntTestbed, InstrumentedRunFillsIntCapture) {
   }
   EXPECT_TRUE(saw_rtt);
 
-  // --flight-dump semantics: the end-of-run trigger freezes the rings.
+  // The flight recorder dumps its rings at end of run.
   EXPECT_FALSE(cap.flight_dump.empty());
   EXPECT_NE(cap.flight_dump.find("end of run"), std::string::npos);
-}
-
-TEST(IntTestbed, IntIsResultsNeutral) {
-  const testbed::TestbedConfig base = TinyConfig(testbed::Scheme::kOrbitCache);
-  const testbed::TestbedResult plain = testbed::RunTestbed(base);
-
-  telemetry::RunCapture cap;
-  testbed::TestbedConfig instrumented = base;
-  instrumented.telemetry.capture = &cap;
-  instrumented.telemetry.int_sample = 4;  // heavy sampling on purpose
-  instrumented.telemetry.histograms = true;
-  instrumented.telemetry.flight_recorder = true;
-  instrumented.telemetry.flight_end_dump = true;
-  const testbed::TestbedResult with_int = testbed::RunTestbed(instrumented);
-
-  // Identical simulations: every serialized metric matches exactly, and
-  // INT knobs never leak into a config's identity.
-  EXPECT_EQ(testbed::ResultMetrics(plain).Dump(),
-            testbed::ResultMetrics(with_int).Dump());
-  EXPECT_EQ(plain.events_processed, with_int.events_processed);
-  EXPECT_EQ(testbed::ConfigFingerprint(base),
-            testbed::ConfigFingerprint(instrumented));
-  EXPECT_FALSE(cap.int_capture.empty());
 }
 
 TEST(IntTestbed, FlightDumpByteStableAcrossRuns) {
   auto run = [](telemetry::RunCapture* cap) {
     testbed::TestbedConfig cfg = TinyConfig(testbed::Scheme::kNetCache);
     cfg.telemetry.capture = cap;
-    cfg.telemetry.int_sample = 8;
+    cfg.telemetry.trace_sample = 8;
     cfg.telemetry.histograms = true;
     cfg.telemetry.flight_recorder = true;
-    cfg.telemetry.flight_end_dump = true;
     testbed::RunTestbed(cfg);
   };
   telemetry::RunCapture a, b;
@@ -267,10 +271,9 @@ TEST(IntRunner, RecordsAreByteIdenticalWithIntOnOrOff) {
   off.progress = false;
   RunnerOptions on = off;
   on.capture_telemetry = true;
-  on.int_sample = 8;
-  on.histograms = true;
-  on.flight_recorder = true;
-  on.flight_end_dump = true;
+  on.telemetry.trace_sample = 8;
+  on.telemetry.histograms = true;
+  on.telemetry.flight_recorder = true;
 
   const RunOutcome a = RunExperiments(specs, off);
   const RunOutcome b = RunExperiments(specs, on);
@@ -285,10 +288,9 @@ TEST(IntRunner, PostcardsAndHistogramsIdenticalSerialVsParallel) {
   RunnerOptions serial;
   serial.progress = false;
   serial.capture_telemetry = true;
-  serial.int_sample = 8;
-  serial.histograms = true;
-  serial.flight_recorder = true;
-  serial.flight_end_dump = true;
+  serial.telemetry.trace_sample = 8;
+  serial.telemetry.histograms = true;
+  serial.telemetry.flight_recorder = true;
   RunnerOptions parallel = serial;
   parallel.jobs = 4;
 

@@ -148,27 +148,23 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RequestTableFuzz,
                          ::testing::Values(1, 2, 3, 42));
 
 // Regression: ClearQueue used to reset only the ring pointers, leaving the
-// trace/INT sidecars of flushed slots stale — a post-reset serve could then
-// attribute its spans to a request from before the reset.
+// flow-id sidecar of flushed slots stale — a post-reset serve could then
+// attribute its hops to a request from before the reset.
 TEST_F(RequestTableTest, ClearQueueScrubsTelemetrySidecars) {
   for (uint32_t i = 0; i < 4; ++i) {
     RequestMeta meta = Meta(i);
-    meta.trace_id = 0xbeef0000u + i;
     meta.int_id = 77 + i;
     ASSERT_TRUE(table_.TryEnqueue(5, meta));
   }
   table_.ClearQueue(5);
   EXPECT_EQ(table_.QueueLength(5), 0u);
-  for (uint32_t off = 0; off < 4; ++off) {
-    EXPECT_EQ(table_.trace_id_at(5, off), 0u) << "offset " << off;
+  for (uint32_t off = 0; off < 4; ++off)
     EXPECT_EQ(table_.int_id_at(5, off), 0u) << "offset " << off;
-  }
   // A fresh unsampled request enqueued after the reset must read back
   // clean ids through the normal dequeue path.
   ASSERT_TRUE(table_.TryEnqueue(5, Meta(9)));
   auto meta = table_.TryDequeue(5);
   ASSERT_TRUE(meta.has_value());
-  EXPECT_EQ(meta->trace_id, 0u);
   EXPECT_EQ(meta->int_id, 0u);
 }
 

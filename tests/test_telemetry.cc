@@ -1,83 +1,18 @@
-// Telemetry unit coverage: structural sampling, the counter registry,
-// request roll-ups, the golden Chrome trace-event JSON form (the external
-// contract Perfetto consumes), and the link drop tap feeding drop
-// counters.
+// Telemetry unit coverage: the counter registry, the golden Chrome
+// trace-event JSON form of the hop-event stream (the external contract
+// Perfetto consumes), and the link drop tap feeding drop counters.
 #include <gtest/gtest.h>
+
+#include <utility>
 
 #include "sim/network.h"
 #include "sim/node.h"
 #include "sim/simulator.h"
-#include "sim/trace.h"
 #include "telemetry/counters.h"
 #include "telemetry/export.h"
-#include "telemetry/trace.h"
 
 namespace orbit::telemetry {
 namespace {
-
-TEST(Tracer, StructuralSampling) {
-  Tracer t(4);
-  EXPECT_TRUE(t.Sampled(0));
-  EXPECT_FALSE(t.Sampled(1));
-  EXPECT_FALSE(t.Sampled(3));
-  EXPECT_TRUE(t.Sampled(4));
-  EXPECT_TRUE(t.Sampled(8));
-
-  Tracer off(0);
-  EXPECT_FALSE(off.Sampled(0));
-  EXPECT_FALSE(off.Sampled(64));
-}
-
-TEST(Tracer, TraceIdEncodesClientAndSeq) {
-  const uint64_t id = MakeTraceId(0x0a000001, 42);
-  EXPECT_EQ(id >> 32, 0x0a000001u);
-  EXPECT_EQ(id & 0xffffffffu, 42u);
-  EXPECT_NE(MakeTraceId(1, 7), MakeTraceId(2, 7));
-  EXPECT_NE(MakeTraceId(1, 7), MakeTraceId(1, 8));
-}
-
-TEST(Tracer, TracksAreDenseIndices) {
-  Tracer t(1);
-  EXPECT_EQ(t.RegisterTrack("tor"), 0);
-  EXPECT_EQ(t.RegisterTrack("client-1"), 1);
-  ASSERT_EQ(t.tracks().size(), 2u);
-  EXPECT_EQ(t.tracks()[1], "client-1");
-}
-
-TEST(SummarizeRequests, GroupsByTraceIdAndSumsHops) {
-  Tracer t(1);
-  const int track = t.RegisterTrack("x");
-  // Request A: root span + two recirc passes that must sum.
-  t.Span(track, 1, "request", 0, 1000, "read_cached");
-  t.Span(track, 1, "recirc", 100, 200);
-  t.Span(track, 1, "recirc", 400, 300);
-  t.Instant(track, 1, "lookup_hit", 50);  // instants carry no duration
-  // Request B interleaved; untraced events are skipped.
-  t.Span(track, 2, "request", 10, 500, "read_server");
-  t.Span(track, 0, "pipeline", 0, 77);
-
-  const auto summaries = SummarizeRequests(t.events());
-  ASSERT_EQ(summaries.size(), 2u);
-  EXPECT_EQ(summaries[0].trace_id, 1u);
-  EXPECT_STREQ(summaries[0].outcome, "read_cached");
-  EXPECT_EQ(summaries[0].total, 1000);
-  ASSERT_EQ(summaries[0].hops.size(), 1u);
-  EXPECT_EQ(summaries[0].hops[0].first, "recirc");
-  EXPECT_EQ(summaries[0].hops[0].second, 500);
-  EXPECT_EQ(summaries[0].events, 4u);
-  EXPECT_STREQ(summaries[1].outcome, "read_server");
-}
-
-TEST(FormatHopBreakdown, RendersPerHopRows) {
-  Tracer t(1);
-  const int track = t.RegisterTrack("x");
-  t.Span(track, 1, "request", 0, 2000, "read_cached");
-  t.Span(track, 1, "srv_process", 0, 500);
-  const std::string table = FormatHopBreakdown(SummarizeRequests(t.events()));
-  EXPECT_NE(table.find("request (end-to-end)"), std::string::npos);
-  EXPECT_NE(table.find("srv_process"), std::string::npos);
-  EXPECT_NE(table.find("2.000"), std::string::npos);  // 2000ns = 2.000us
-}
 
 TEST(Registry, SamplesInRegistrationOrder) {
   Registry reg;
@@ -109,13 +44,23 @@ TEST(Registry, SamplesInRegistrationOrder) {
 }
 
 // The exact exported bytes are the external contract (Perfetto reads
-// them); lock the golden form of every event shape in one small capture.
+// them); lock the golden form of every event shape in one small capture:
+// the root span, an instant hop, a span hop with a detail, and a fault
+// mark on the trailing faults row.
 TEST(ChromeTraceJson, GoldenDocument) {
-  RunCapture cap;
-  cap.tracks = {"tor", "client-1"};
-  cap.events.push_back({1500, 2250, 42, 0, "pipeline", "forward_port", 0});
-  cap.events.push_back({4000, 0, 42, 1, "send", "read", 0});
-  cap.events.push_back({5000, 1000, 42, 0, "recirc", nullptr, 96});
+  IntCapture cap;
+  cap.hop_names = {"tor.pipeline", "client-1.tx"};
+  IntFlowRec flow;
+  flow.flow_id = 42;
+  flow.started_at = 1000;
+  flow.finished_at = 9000;
+  flow.outcome = "read_cached";
+  flow.hops.push_back({1000, 1, IntHopKind::kClientTx, 0, 0, 0, 0, nullptr});
+  flow.hops.push_back(
+      {1500, 0, IntHopKind::kPipeline, 2250, 250, 0, 0, "forward_addr"});
+  flow.hops.push_back({5000, 0, IntHopKind::kRecirc, 1000, 96, 1, 0, nullptr});
+  cap.flows.push_back(std::move(flow));
+  cap.marks.push_back({6000, "switch_reset", 0});
 
   const std::string json = ChromeTraceJson({{"exp point=0", &cap}});
   const std::string expected =
@@ -123,17 +68,24 @@ TEST(ChromeTraceJson, GoldenDocument) {
       "{\"ph\":\"M\",\"pid\":0,\"name\":\"process_name\",\"args\":{\"name\":"
       "\"exp point=0\"}},\n"
       "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"thread_name\",\"args\":{"
-      "\"name\":\"tor\"}},\n"
+      "\"name\":\"tor.pipeline\"}},\n"
       "{\"ph\":\"M\",\"pid\":0,\"tid\":1,\"name\":\"thread_name\",\"args\":{"
-      "\"name\":\"client-1\"}},\n"
+      "\"name\":\"client-1.tx\"}},\n"
+      "{\"ph\":\"M\",\"pid\":0,\"tid\":2,\"name\":\"thread_name\",\"args\":{"
+      "\"name\":\"faults\"}},\n"
+      "{\"ph\":\"X\",\"pid\":0,\"tid\":1,\"ts\":1.000,\"dur\":8.000,\"name\":"
+      "\"request:read_cached\",\"cat\":\"telemetry\",\"args\":{\"flow\":42}},\n"
+      "{\"ph\":\"i\",\"pid\":0,\"tid\":1,\"ts\":1.000,\"s\":\"t\",\"name\":"
+      "\"client_tx\",\"cat\":\"telemetry\",\"args\":{\"flow\":42,"
+      "\"queue_depth\":0,\"recirc\":0,\"drop\":0}},\n"
       "{\"ph\":\"X\",\"pid\":0,\"tid\":0,\"ts\":1.500,\"dur\":2.250,\"name\":"
-      "\"pipeline:forward_port\",\"cat\":\"telemetry\",\"args\":{\"trace_id\":"
-      "42}},\n"
-      "{\"ph\":\"i\",\"pid\":0,\"tid\":1,\"ts\":4.000,\"s\":\"t\",\"name\":"
-      "\"send:read\",\"cat\":\"telemetry\",\"args\":{\"trace_id\":42}},\n"
+      "\"pipeline:forward_addr\",\"cat\":\"telemetry\",\"args\":{\"flow\":42,"
+      "\"queue_depth\":250,\"recirc\":0,\"drop\":0}},\n"
       "{\"ph\":\"X\",\"pid\":0,\"tid\":0,\"ts\":5.000,\"dur\":1.000,\"name\":"
-      "\"recirc\",\"cat\":\"telemetry\",\"args\":{\"trace_id\":42,\"value\":"
-      "96}}\n"
+      "\"recirc\",\"cat\":\"telemetry\",\"args\":{\"flow\":42,"
+      "\"queue_depth\":96,\"recirc\":1,\"drop\":0}},\n"
+      "{\"ph\":\"i\",\"pid\":0,\"tid\":2,\"ts\":6.000,\"s\":\"t\",\"name\":"
+      "\"switch_reset\",\"cat\":\"telemetry\",\"args\":{\"value\":0}}\n"
       "]}\n";
   EXPECT_EQ(json, expected);
 }
@@ -151,63 +103,51 @@ class SinkNode : public sim::Node {
   std::string name() const override { return "sink"; }
 };
 
+// Both link-level causes reach the tap with their reason: a slow link
+// with a tiny drop-tail queue overflows, and a loss_rate of 1 kills every
+// packet on the coin.
 TEST(DropTap, QueueOverflowFiresTapWithReason) {
-  sim::Simulator sim;
-  sim::Network net(&sim);
-  SinkNode a, b;
-  sim::LinkConfig link;
-  link.rate_gbps = 0.001;         // slow: packets pile up
-  link.propagation = 100;
-  link.queue_limit_bytes = 200;   // tiny drop-tail queue
-  const auto att = net.Connect(&a, &b, link);
+  sim::LinkConfig slow;
+  slow.rate_gbps = 0.001;  // slow: packets pile up
+  slow.propagation = 100;
+  slow.queue_limit_bytes = 200;  // tiny drop-tail queue
+  sim::LinkConfig lossy;
+  lossy.rate_gbps = 10.0;
+  lossy.propagation = 100;
+  lossy.loss_rate = 1.0;
+  const std::pair<sim::LinkConfig, sim::DropReason> cases[] = {
+      {slow, sim::DropReason::kQueueOverflow},
+      {lossy, sim::DropReason::kInjectedLoss}};
+  for (const auto& [link, want] : cases) {
+    sim::Simulator sim;
+    sim::Network net(&sim);
+    SinkNode a, b;
+    const auto att = net.Connect(&a, &b, link);
 
-  uint64_t drops = 0;
-  sim::DropReason last = sim::DropReason::kInjectedLoss;
-  net.SetDropTap([&](const sim::Packet&, sim::Node*, sim::Node*,
-                     sim::DropReason reason, SimTime) {
-    ++drops;
-    last = reason;
-  });
+    uint64_t drops = 0, other_reason = 0;
+    net.SetDropTap([&](const sim::Packet&, sim::Node*, sim::Node*,
+                       sim::DropReason reason, SimTime) {
+      ++drops;
+      if (reason != want) ++other_reason;
+    });
 
-  for (int i = 0; i < 20; ++i) {
-    proto::Message msg;
-    msg.op = proto::Op::kReadReq;
-    auto pkt = sim::MakePacket(1, 2, 5008, 5008, std::move(msg));
-    net.Send(&a, att.port_a, std::move(pkt));
+    for (int i = 0; i < 20; ++i) {
+      proto::Message msg;
+      msg.op = proto::Op::kReadReq;
+      auto pkt = sim::MakePacket(1, 2, 5008, 5008, std::move(msg));
+      net.Send(&a, att.port_a, std::move(pkt));
+    }
+    sim.RunToCompletion();
+    EXPECT_GT(drops, 0u) << sim::DropReasonName(want);
+    EXPECT_EQ(other_reason, 0u) << sim::DropReasonName(want);
+    if (want == sim::DropReason::kInjectedLoss) {
+      EXPECT_EQ(drops, 20u);
+    }
   }
-  sim.RunToCompletion();
-  EXPECT_GT(drops, 0u);
-  EXPECT_EQ(last, sim::DropReason::kQueueOverflow);
   EXPECT_STREQ(sim::DropReasonName(sim::DropReason::kQueueOverflow),
                "queue_overflow");
   EXPECT_STREQ(sim::DropReasonName(sim::DropReason::kInjectedLoss),
                "injected_loss");
-}
-
-TEST(DropTap, PacketTraceRecordsDrops) {
-  sim::Simulator sim;
-  sim::Network net(&sim);
-  SinkNode a, b;
-  sim::LinkConfig link;
-  link.rate_gbps = 10.0;
-  link.propagation = 100;
-  link.loss_rate = 1.0;  // every packet dies on the coin
-  const auto att = net.Connect(&a, &b, link);
-
-  sim::PacketTrace trace;
-  net.SetTap(trace.AsTap());
-  net.SetDropTap(trace.AsDropTap());
-
-  proto::Message msg;
-  msg.op = proto::Op::kReadReq;
-  net.Send(&a, att.port_a, sim::MakePacket(1, 2, 5008, 5008, std::move(msg)));
-  sim.RunToCompletion();
-
-  EXPECT_EQ(trace.total_dropped(), 1u);
-  ASSERT_EQ(trace.entries().size(), 1u);
-  EXPECT_TRUE(trace.entries().back().dropped);
-  EXPECT_EQ(trace.entries().back().drop_reason, sim::DropReason::kInjectedLoss);
-  EXPECT_NE(trace.Dump().find("DROP"), std::string::npos);
 }
 
 }  // namespace

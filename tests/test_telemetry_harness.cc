@@ -1,15 +1,24 @@
 // Telemetry integration: an instrumented testbed run fills the capture
-// with spans and counter snapshots; instrumentation never perturbs
-// results; captures are deterministic across repeats and job counts; and
-// the harness's record JSONL is byte-identical with telemetry on or off.
+// with the hop-event stream and counter snapshots; instrumentation never
+// perturbs results; the Chrome export carries exactly the stream's flows
+// and the run's faults; captures are deterministic across repeats and job
+// counts; and the harness's record JSONL is byte-identical with telemetry
+// on or off.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "fault/fault.h"
+#include "harness/json.h"
 #include "harness/metrics.h"
 #include "harness/runner.h"
 #include "harness/telemetry_io.h"
 #include "telemetry/counters.h"
 #include "telemetry/export.h"
-#include "telemetry/trace.h"
 #include "testbed/serialize.h"
 #include "testbed/testbed.h"
 
@@ -46,28 +55,30 @@ TEST(TelemetryTestbed, InstrumentedRunFillsCapture) {
   testbed::RunTestbed(cfg);
 
   ASSERT_FALSE(cap.empty());
-  // Track order is fixed: switch, switch recirc, servers, clients.
-  ASSERT_GE(cap.tracks.size(), 2u + 4u + 2u);
-  EXPECT_EQ(cap.tracks[0], "tor");
-  EXPECT_EQ(cap.tracks[1], "tor.recirc");
+  // The switch interns one hop name per stamping site.
+  const telemetry::IntCapture& ic = cap.int_capture;
+  for (const char* name :
+       {"tor.pipeline", "tor.recirc", "tor.program", "tor.cache_wait"}) {
+    EXPECT_NE(std::find(ic.hop_names.begin(), ic.hop_names.end(), name),
+              ic.hop_names.end())
+        << name;
+  }
 
-  // Sampled requests produced full lifecycles: root spans with outcomes
-  // and at least one switch pipeline pass each.
-  const auto summaries = telemetry::SummarizeRequests(cap.events);
-  ASSERT_GT(summaries.size(), 10u);
-  size_t with_outcome = 0, with_pipeline = 0;
-  for (const auto& s : summaries) {
-    if (s.total > 0) ++with_outcome;
-    for (const auto& [hop, dur] : s.hops) {
-      (void)dur;
-      if (hop == "pipeline") {
+  // Sampled requests produced full lifecycles: finished flows with
+  // outcomes and at least one switch pipeline pass each.
+  ASSERT_GT(ic.flows.size(), 10u);
+  size_t finished = 0, with_pipeline = 0;
+  for (const auto& flow : ic.flows) {
+    if (flow.finished_at > 0 && *flow.outcome != '\0') ++finished;
+    for (const auto& hop : flow.hops) {
+      if (hop.kind == telemetry::IntHopKind::kPipeline) {
         ++with_pipeline;
         break;
       }
     }
   }
-  EXPECT_GT(with_outcome, summaries.size() / 2);
-  EXPECT_GT(with_pipeline, summaries.size() / 2);
+  EXPECT_GT(finished, ic.flows.size() / 2);
+  EXPECT_GT(with_pipeline, ic.flows.size() / 2);
 
   // Periodic + final snapshots, in sim-time order, with live counters.
   ASSERT_GE(cap.snapshots.size(), 3u);
@@ -84,11 +95,14 @@ TEST(TelemetryTestbed, InstrumentationIsResultsNeutral) {
   const testbed::TestbedConfig base = TinyConfig(testbed::Scheme::kOrbitCache);
   const testbed::TestbedResult plain = testbed::RunTestbed(base);
 
+  // Every telemetry option on at once.
   telemetry::RunCapture cap;
   testbed::TestbedConfig instrumented = base;
   instrumented.telemetry.capture = &cap;
   instrumented.telemetry.trace_sample = 4;  // heavy sampling on purpose
   instrumented.telemetry.snapshot_interval = 1 * kMillisecond;
+  instrumented.telemetry.histograms = true;
+  instrumented.telemetry.flight_recorder = true;
   const testbed::TestbedResult traced = testbed::RunTestbed(instrumented);
 
   // Identical simulations: every serialized metric matches exactly.
@@ -98,7 +112,89 @@ TEST(TelemetryTestbed, InstrumentationIsResultsNeutral) {
   // Telemetry must not alter a config's identity either.
   EXPECT_EQ(testbed::ConfigFingerprint(base),
             testbed::ConfigFingerprint(instrumented));
-  EXPECT_FALSE(cap.empty());
+  EXPECT_FALSE(cap.int_capture.flows.empty());
+  EXPECT_FALSE(cap.int_capture.hists.empty());
+  EXPECT_FALSE(cap.snapshots.empty());
+  EXPECT_FALSE(cap.flight_dump.empty());
+}
+
+// Parses a Chrome export and returns its events, metadata rows included.
+std::vector<JsonValue> ChromeEvents(const telemetry::RunCapture& cap) {
+  JsonValue doc;
+  std::string error;
+  EXPECT_TRUE(ParseJson(telemetry::ChromeTraceJson({{"p", &cap.int_capture}}),
+                        &doc, &error))
+      << error;
+  const JsonValue* events = doc.Find("traceEvents");
+  return events != nullptr ? events->array() : std::vector<JsonValue>{};
+}
+
+// The Chrome export is a view of the same stream the postcards carry: its
+// flow ids are exactly the captured flows, and an absorbed read shows the
+// request-table wait that explains its latency before the reply lands.
+TEST(TelemetryTestbed, ChromeExportCarriesTheStreamsFlows) {
+  telemetry::RunCapture cap;
+  testbed::TestbedConfig cfg = TinyConfig(testbed::Scheme::kOrbitCache);
+  cfg.telemetry.capture = &cap;
+  cfg.telemetry.trace_sample = 8;
+  testbed::RunTestbed(cfg);
+
+  const telemetry::IntCapture& ic = cap.int_capture;
+  ASSERT_FALSE(ic.flows.empty());
+  std::set<int64_t> stream_ids, chrome_ids;
+  for (const auto& flow : ic.flows)
+    stream_ids.insert(static_cast<int64_t>(flow.flow_id));
+  for (const JsonValue& ev : ChromeEvents(cap)) {
+    const JsonValue* flow = ev.FindPath("args.flow");
+    if (flow != nullptr) chrome_ids.insert(flow->AsInt());
+  }
+  EXPECT_EQ(chrome_ids, stream_ids);
+
+  bool waited = false;
+  for (const auto& flow : ic.flows) {
+    if (std::string(flow.outcome) != "read_cached") continue;
+    bool seen_wait = false;
+    for (const auto& hop : flow.hops) {
+      if (hop.kind == telemetry::IntHopKind::kCacheWait) seen_wait = true;
+      if (hop.kind == telemetry::IntHopKind::kClientRx && seen_wait)
+        waited = true;
+    }
+    if (waited) break;
+  }
+  EXPECT_TRUE(waited) << "no read_cached flow with cache_wait before client_rx";
+}
+
+// Injected faults belong to no request: they land on the export's
+// "faults" row as instants at the moment they fired.
+TEST(TelemetryTestbed, ChromeExportPutsFaultsOnTheirRow) {
+  telemetry::RunCapture cap;
+  testbed::TestbedConfig cfg = TinyConfig(testbed::Scheme::kOrbitCache);
+  cfg.telemetry.capture = &cap;
+  cfg.telemetry.trace_sample = 16;
+  cfg.fault = fault::SwitchResetAt(5 * kMillisecond, kMillisecond);
+  testbed::RunTestbed(cfg);
+
+  const std::vector<JsonValue> events = ChromeEvents(cap);
+  int64_t faults_tid = -1;
+  for (const JsonValue& ev : events) {
+    const JsonValue* name = ev.FindPath("args.name");
+    if (ev.Find("ph")->AsString() == "M" && name != nullptr &&
+        name->AsString() == "faults")
+      faults_tid = ev.Find("tid")->AsInt();
+  }
+  ASSERT_GE(faults_tid, 0) << "no faults row";
+  std::vector<std::string> marks;
+  for (const JsonValue& ev : events) {
+    if (ev.Find("ph")->AsString() == "M" ||
+        ev.Find("tid")->AsInt() != faults_tid)
+      continue;
+    EXPECT_EQ(ev.Find("ph")->AsString(), "i");
+    const int64_t at_ns = std::llround(ev.Find("ts")->AsDouble() * 1e3);
+    marks.push_back(ev.Find("name")->AsString() + "@" +
+                    std::to_string(at_ns));
+  }
+  EXPECT_EQ(marks, (std::vector<std::string>{"switch_reset@5000000",
+                                             "cache_rebuild@6000000"}));
 }
 
 TEST(TelemetryTestbed, CaptureIsDeterministic) {
@@ -112,8 +208,8 @@ TEST(TelemetryTestbed, CaptureIsDeterministic) {
   telemetry::RunCapture a, b;
   run(&a);
   run(&b);
-  EXPECT_EQ(telemetry::ChromeTraceJson({{"p", &a}}),
-            telemetry::ChromeTraceJson({{"p", &b}}));
+  EXPECT_EQ(telemetry::ChromeTraceJson({{"p", &a.int_capture}}),
+            telemetry::ChromeTraceJson({{"p", &b.int_capture}}));
   ASSERT_EQ(a.snapshots.size(), b.snapshots.size());
   for (size_t i = 0; i < a.snapshots.size(); ++i) {
     EXPECT_EQ(a.snapshots[i].at, b.snapshots[i].at);
@@ -139,8 +235,8 @@ TEST(TelemetryRunner, RecordsAreByteIdenticalWithTelemetryOnOrOff) {
   off.progress = false;
   RunnerOptions on = off;
   on.capture_telemetry = true;
-  on.trace_sample = 8;
-  on.snapshot_interval = 2 * kMillisecond;
+  on.telemetry.trace_sample = 8;
+  on.telemetry.snapshot_interval = 2 * kMillisecond;
 
   const RunOutcome a = RunExperiments(specs, off);
   const RunOutcome b = RunExperiments(specs, on);
@@ -156,8 +252,8 @@ TEST(TelemetryRunner, CountersIdenticalSerialVsParallel) {
   RunnerOptions serial;
   serial.progress = false;
   serial.capture_telemetry = true;
-  serial.trace_sample = 8;
-  serial.snapshot_interval = 2 * kMillisecond;
+  serial.telemetry.trace_sample = 8;
+  serial.telemetry.snapshot_interval = 2 * kMillisecond;
   RunnerOptions parallel = serial;
   parallel.jobs = 4;
 
@@ -176,7 +272,7 @@ TEST(TelemetryIo, CountersJsonlRoundTripsAndCarriesIdentity) {
   RunnerOptions options;
   options.progress = false;
   options.capture_telemetry = true;
-  options.trace_sample = 0;  // counters only
+  options.telemetry.trace_sample = 0;  // counters only
   const RunOutcome out = RunExperiments(specs, options);
 
   const std::string jsonl = CountersJsonl(out.records, out.captures);
@@ -189,8 +285,8 @@ TEST(TelemetryIo, CountersJsonlRoundTripsAndCarriesIdentity) {
   EXPECT_EQ(first.Find("experiment")->AsString(), "unit_telemetry");
   EXPECT_NE(first.Find("params")->Find("scheme"), nullptr);
   EXPECT_GT(first.Find("counters")->object().size(), 10u);
-  // trace_sample 0 still permits counters but collects no spans.
-  for (const auto& cap : out.captures) EXPECT_TRUE(cap.events.empty());
+  // trace_sample 0 still permits counters but collects no stream.
+  for (const auto& cap : out.captures) EXPECT_TRUE(cap.int_capture.empty());
 }
 
 TEST(TelemetryIo, CaptureLabelNamesPointAndParams) {

@@ -1,90 +1,102 @@
-#include "sim/trace.h"
-
+// The hop-event stream end to end on the one-server rig: a sampled read
+// from a real client yields one flow that records every hop of the
+// exchange, in time order, each inside the flow's own span.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "apps/client.h"
+#include "common/hash.h"
+#include "telemetry/int/int.h"
+#include "telemetry/netstats.h"
 #include "tests/orbit_rig.h"
 
-namespace orbit::sim {
+namespace orbit::telemetry {
 namespace {
 
-TEST(FormatPacket, RendersOrbitSemantics) {
-  Packet pkt;
-  pkt.src = 1;
-  pkt.dst = 2;
-  pkt.msg.op = proto::Op::kReadRep;
-  pkt.msg.seq = 42;
-  pkt.msg.key = "k1";
-  pkt.msg.value = kv::Value::Synthetic(64, 1);
-  pkt.msg.cached = 1;
-  pkt.from_recirc = true;
-  pkt.recirc_count = 3;
-  const std::string line = FormatPacket(pkt, 1234);
-  EXPECT_NE(line.find("1234ns"), std::string::npos);
-  EXPECT_NE(line.find("R-REP"), std::string::npos);
-  EXPECT_NE(line.find("seq=42"), std::string::npos);
-  EXPECT_NE(line.find("key=k1"), std::string::npos);
-  EXPECT_NE(line.find("val=64B"), std::string::npos);
-  EXPECT_NE(line.find("[cached]"), std::string::npos);
-  EXPECT_NE(line.find("[recirc x3]"), std::string::npos);
-}
+constexpr Addr kTracedClient = 2;
 
-TEST(PacketTrace, ObservesWholeExchange) {
+// Every request reads the same key.
+class OneKey : public app::WorkloadSource {
+ public:
+  OneKey(Key key, Addr server) : key_(std::move(key)), server_(server) {}
+  Request Next(Rng&) override {
+    Request req;
+    req.key = key_;
+    req.hkey = HashKey128(key_);
+    req.server = server_;
+    return req;
+  }
+
+ private:
+  Key key_;
+  Addr server_;
+};
+
+TEST(HopStream, SampledReadRecordsWholeExchange) {
   testrig::RigConfig cfg;
   cfg.num_servers = 1;
   testrig::Rig rig(cfg);
-  PacketTrace trace;
-  rig.net().SetTap(trace.AsTap());
+  const Key key = "traced-key-00000";
 
-  rig.SendRead("traced-key-00000", 7);
-  rig.Settle();
-  // Request out, request to server, reply back, reply to client: ≥4 hops.
-  EXPECT_GE(trace.total_seen(), 4u);
-  int reqs = 0, reps = 0;
-  for (const auto& e : trace.entries()) {
-    if (e.op == proto::Op::kReadReq) ++reqs;
-    if (e.op == proto::Op::kReadRep) ++reps;
-    EXPECT_EQ(e.key, "traced-key-00000");
-    EXPECT_EQ(e.seq, 7u);
+  app::ClientConfig ccfg;
+  ccfg.addr = kTracedClient;
+  ccfg.orbit_port = testrig::kPort;
+  ccfg.rate_rps = 1'000;
+  app::ClientNode client(&rig.sim(), &rig.net(), /*port=*/0, ccfg,
+                         std::make_shared<OneKey>(key, rig.ServerAddrFor(key)));
+  const auto link = rig.net().Connect(&client, &rig.sw(), sim::LinkConfig{});
+  rig.sw().AddRoute(kTracedClient, link.port_b);
+
+  IntSink sink({/*sample_every=*/64, /*histograms=*/false});
+  AttachLinkInt(sink, rig.net());
+  rig.sw().SetIntSink(&sink);
+  rig.ServerFor(key).SetIntSink(&sink);
+  client.SetIntSink(&sink);
+
+  // The first request (seq 64) is sampled; the ones after it are not.
+  client.set_next_seq_for_test(64);
+  client.Start();
+  rig.Run(5 * kMillisecond);
+  client.Stop();
+  ASSERT_GT(client.stats().tx_requests, 1u);
+
+  IntCapture cap;
+  sink.Drain(&cap);
+  ASSERT_EQ(cap.flows.size(), 1u);
+  const IntFlowRec& flow = cap.flows[0];
+  EXPECT_EQ(flow.flow_id, MakeFlowId(kTracedClient, 64));
+  EXPECT_STREQ(flow.outcome, "read_server");
+  ASSERT_GT(flow.finished_at, flow.started_at);
+
+  std::vector<std::string> got;
+  SimTime prev = flow.started_at;
+  for (const IntHop& hop : flow.hops) {
+    std::string rec = IntHopKindName(hop.kind);
+    if (hop.detail != nullptr) rec += std::string(":") + hop.detail;
+    got.push_back(rec + " @ " + cap.hop_names.at(hop.hop));
+    EXPECT_GE(hop.at, prev) << rec;
+    EXPECT_LE(hop.at + hop.latency_ns, flow.finished_at) << rec;
+    prev = hop.at;
   }
-  EXPECT_GE(reqs, 2);
-  EXPECT_GE(reps, 2);
-  const std::string dump = trace.Dump();
-  EXPECT_NE(dump.find("rig-tor"), std::string::npos);
-  EXPECT_NE(dump.find("server-0"), std::string::npos);
-}
-
-TEST(PacketTrace, BoundedMemory) {
-  PacketTrace trace(8);
-  auto tap = trace.AsTap();
-  Packet pkt;
-  struct Dummy : Node {
-    void OnPacket(PacketPtr, int) override {}
-    std::string name() const override { return "d"; }
-  } d;
-  for (uint32_t i = 0; i < 100; ++i) {
-    pkt.msg.seq = i;
-    tap(pkt, &d, &d, i);
-  }
-  EXPECT_EQ(trace.total_seen(), 100u);
-  EXPECT_EQ(trace.entries().size(), 8u);
-  EXPECT_EQ(trace.entries().front().seq, 92u) << "oldest evicted";
-}
-
-TEST(PacketTrace, TapRemovable) {
-  testrig::RigConfig cfg;
-  cfg.num_servers = 1;
-  testrig::Rig rig(cfg);
-  PacketTrace trace;
-  rig.net().SetTap(trace.AsTap());
-  rig.SendRead("traced-key-00000", 1);
-  rig.Settle();
-  const uint64_t seen = trace.total_seen();
-  EXPECT_GT(seen, 0u);
-  rig.net().SetTap({});
-  rig.SendRead("traced-key-00000", 2);
-  rig.Settle();
-  EXPECT_EQ(trace.total_seen(), seen) << "no observation after removal";
+  const std::vector<std::string> want = {
+      "client_tx @ client-2.tx",
+      "link @ link.3.client->rig-tor",
+      "program:lookup_miss @ rig-tor.program",
+      "pipeline:forward_addr @ rig-tor.pipeline",
+      "link @ link.1.rig-tor->server-0",
+      "srv_rx @ server-0.rx",
+      "srv_queue @ server-0.queue",
+      "srv_process @ server-0.process",
+      "link @ link.1.server-0->rig-tor",
+      "pipeline:forward_addr @ rig-tor.pipeline",
+      "link @ link.3.rig-tor->client",
+      "client_rx @ client-2.rx",
+  };
+  EXPECT_EQ(got, want);
 }
 
 }  // namespace
-}  // namespace orbit::sim
+}  // namespace orbit::telemetry

@@ -1,13 +1,15 @@
-// Summarize INT postcard JSONL produced by --int-out.
+// Summarize the hop-event stream (INT postcard JSONL from --int-out).
 //
 //   int_report int.jsonl [--compare prior_int.jsonl]
 //
 // For every point (experiment/point/rep) the tool aggregates hop records
 // across that point's sampled flows and prints a per-hop percentile table
 // (count, p50/p90/p99/max of the latency each hop added, mean queue depth
-// on arrival, drops stamped there). Below the tables a fabric heatmap
-// renders each hop's p99 latency as a proportional bar, so one glance
-// shows where time is spent across client NICs, links, pipelines, the
+// on arrival, drops stamped there), led by one end-to-end
+// "request:<outcome>" row per outcome (finish - start of each finished
+// flow). Below the tables a fabric heatmap renders each row's p99 latency
+// as a proportional bar, so one glance shows where time is spent across
+// client NICs, links, pipelines, the request-table wait, the
 // recirculation orbit, and server queues.
 //
 // --compare aggregates both files hop-by-hop (across all points) and
@@ -67,6 +69,14 @@ struct Group {
     hops.emplace_back(name, HopAgg{});
     return hops.back().second;
   }
+  // The end-to-end rows lead the table, in first-seen order.
+  HopAgg& Request(const std::string& outcome) {
+    const std::string name = "request:" + outcome;
+    auto it = hops.begin();
+    for (; it != hops.end() && it->first.rfind("request:", 0) == 0; ++it)
+      if (it->first == name) return it->second;
+    return hops.insert(it, {name, HopAgg{}})->second;
+  }
 };
 
 bool LoadIntJsonl(const char* path, std::vector<JsonValue>* lines) {
@@ -121,11 +131,18 @@ std::string GroupLabel(const JsonValue& line) {
   return label;
 }
 
-// Folds one postcard line's hops into `group` (or any Group-like sink).
+// Folds one postcard line's end-to-end latency and hops into `group`.
 void Accumulate(const JsonValue& line, Group* group) {
   ++group->flows;
   if (const JsonValue* t = line.Find("truncated_hops"))
     group->truncated += static_cast<uint64_t>(t->AsInt());
+  const JsonValue* start = line.Find("start_ns");
+  const JsonValue* finish = line.Find("finish_ns");
+  const JsonValue* outcome = line.Find("outcome");
+  if (start != nullptr && finish != nullptr && outcome != nullptr &&
+      finish->AsInt() > 0)
+    group->Request(outcome->AsString())
+        .Add(finish->AsInt() - start->AsInt(), 0, false);
   const JsonValue* hops = line.Find("hops");
   if (hops == nullptr || !hops->is_array()) return;
   for (const JsonValue& h : hops->array()) {
@@ -135,10 +152,12 @@ void Accumulate(const JsonValue& line, Group* group) {
     const JsonValue* lat = h.Find("latency_ns");
     const JsonValue* depth = h.Find("queue_depth");
     const JsonValue* drop = h.Find("drop");
+    const JsonValue* kind = h.Find("kind");
     group->Hop(name->AsString())
         .Add(lat != nullptr ? lat->AsInt() : 0,
              depth != nullptr ? depth->AsDouble() : 0,
-             drop != nullptr && drop->AsInt() != 0);
+             (drop != nullptr && drop->AsInt() != 0) ||
+                 (kind != nullptr && kind->AsString() == "drop"));
   }
 }
 
