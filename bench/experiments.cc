@@ -50,6 +50,51 @@ const std::vector<testbed::Scheme> kAllSchemes = {
     testbed::Scheme::kNoCache, testbed::Scheme::kNetCache,
     testbed::Scheme::kOrbitCache};
 
+// Runs one faulted point and adds the recovery analysis of its throughput
+// timeline. Baseline = mean of the pre-fault bins (skipping bin 0's cold
+// start); collapse_frac = the deepest post-fault dip below it; recovered =
+// two consecutive bins back at ≥ `recovered_frac` of baseline.
+JsonValue RunWithRecoveryAnalysis(const testbed::TestbedConfig& config,
+                                  double recovered_frac) {
+  const testbed::TestbedResult res = testbed::RunTestbed(config);
+  testbed::ResultMetricsOptions opts;
+  opts.include_timelines = true;
+  JsonValue metrics = testbed::ResultMetrics(res, opts);
+  metrics.Set("window_s", static_cast<double>(config.duration) / kSecond);
+  metrics.Set("timeline_bin_s",
+              static_cast<double>(config.timeline_bin) / kSecond);
+
+  const SimTime bin = config.timeline_bin;
+  const SimTime fault_at = config.fault.events.front().at;
+  const size_t fault_bin = static_cast<size_t>(fault_at / bin);
+  const auto& tl = res.throughput_timeline;
+  double baseline = 0;
+  size_t n_base = 0;
+  for (size_t i = 1; i < fault_bin && i < tl.size(); ++i) {
+    baseline += tl[i];
+    ++n_base;
+  }
+  if (n_base > 0) baseline /= static_cast<double>(n_base);
+  double min_tput = baseline;
+  for (size_t i = fault_bin; i < tl.size(); ++i)
+    min_tput = std::min(min_tput, tl[i]);
+  double recovery_ms = -1;  // -1 = did not recover inside the window
+  for (size_t i = fault_bin; i + 1 < tl.size(); ++i) {
+    if (tl[i] >= recovered_frac * baseline &&
+        tl[i + 1] >= recovered_frac * baseline) {
+      recovery_ms =
+          static_cast<double>(static_cast<SimTime>(i + 1) * bin - fault_at) /
+          kMillisecond;
+      break;
+    }
+  }
+  metrics.Set("fault_at_ms", static_cast<double>(fault_at) / kMillisecond);
+  metrics.Set("baseline_mrps", baseline / 1e6);
+  metrics.Set("collapse_frac", baseline > 0 ? 1.0 - min_tput / baseline : 0.0);
+  metrics.Set("recovery_ms", recovery_ms);
+  return metrics;
+}
+
 }  // namespace
 
 // §2.1 motivation analysis: how many items of 54 Twitter-like workloads
@@ -634,46 +679,7 @@ ExperimentSpec FigFailures() {
                                            /*restart_at=*/2 * cfg.duration / 3);
         }}})};
   spec.run = [](const harness::PointRun& p, harness::SaturationCache&) {
-    const testbed::TestbedResult res = testbed::RunTestbed(p.config);
-    testbed::ResultMetricsOptions opts;
-    opts.include_timelines = true;
-    JsonValue metrics = testbed::ResultMetrics(res, opts);
-    metrics.Set("window_s", static_cast<double>(p.config.duration) / kSecond);
-    metrics.Set("timeline_bin_s",
-                static_cast<double>(p.config.timeline_bin) / kSecond);
-
-    // Recovery analysis on the throughput timeline. Baseline = mean of
-    // the pre-fault bins (skipping bin 0's cold start); recovered = two
-    // consecutive bins back at ≥ 90% of baseline.
-    const SimTime bin = p.config.timeline_bin;
-    const SimTime fault_at = p.config.fault.events.front().at;
-    const size_t fault_bin = static_cast<size_t>(fault_at / bin);
-    const auto& tl = res.throughput_timeline;
-    double baseline = 0;
-    size_t n_base = 0;
-    for (size_t i = 1; i < fault_bin && i < tl.size(); ++i) {
-      baseline += tl[i];
-      ++n_base;
-    }
-    if (n_base > 0) baseline /= static_cast<double>(n_base);
-    double min_tput = baseline;
-    for (size_t i = fault_bin; i < tl.size(); ++i)
-      min_tput = std::min(min_tput, tl[i]);
-    double recovery_ms = -1;  // -1 = did not recover inside the window
-    for (size_t i = fault_bin; i + 1 < tl.size(); ++i) {
-      if (tl[i] >= 0.9 * baseline && tl[i + 1] >= 0.9 * baseline) {
-        recovery_ms = static_cast<double>(static_cast<SimTime>(i + 1) * bin -
-                                          fault_at) /
-                      kMillisecond;
-        break;
-      }
-    }
-    metrics.Set("fault_at_ms", static_cast<double>(fault_at) / kMillisecond);
-    metrics.Set("baseline_mrps", baseline / 1e6);
-    metrics.Set("collapse_frac",
-                baseline > 0 ? 1.0 - min_tput / baseline : 0.0);
-    metrics.Set("recovery_ms", recovery_ms);
-    return metrics;
+    return RunWithRecoveryAnalysis(p.config, /*recovered_frac=*/0.9);
   };
   spec.include_timelines = true;
   spec.table_metrics = {"rx_mrps", "collapse_frac", "recovery_ms",
@@ -837,49 +843,9 @@ ExperimentSpec FigFabricFailover() {
       harness::FabricRackAxis({2, 4, 8}, /*servers_per_rack=*/4,
                               /*clients_per_rack=*/2)};
   spec.run = [](const harness::PointRun& p, harness::SaturationCache&) {
-    const testbed::TestbedResult res = testbed::RunTestbed(p.config);
-    testbed::ResultMetricsOptions opts;
-    opts.include_timelines = true;
-    JsonValue metrics = testbed::ResultMetrics(res, opts);
-    metrics.Set("window_s", static_cast<double>(p.config.duration) / kSecond);
-    metrics.Set("timeline_bin_s",
-                static_cast<double>(p.config.timeline_bin) / kSecond);
-
-    // Recovery analysis on the throughput timeline, as in fig_failures but
-    // with the acceptance threshold at 95% of the pre-fault baseline:
-    // failover + degradation should restore ≥95% within the detection
-    // window plus the rebuild delay. Baseline = mean of the pre-fault bins
-    // (skipping bin 0's cold start); recovered = two consecutive bins back
-    // at ≥95% of baseline.
-    const SimTime bin = p.config.timeline_bin;
-    const SimTime fault_at = p.config.fault.events.front().at;
-    const size_t fault_bin = static_cast<size_t>(fault_at / bin);
-    const auto& tl = res.throughput_timeline;
-    double baseline = 0;
-    size_t n_base = 0;
-    for (size_t i = 1; i < fault_bin && i < tl.size(); ++i) {
-      baseline += tl[i];
-      ++n_base;
-    }
-    if (n_base > 0) baseline /= static_cast<double>(n_base);
-    double min_tput = baseline;
-    for (size_t i = fault_bin; i < tl.size(); ++i)
-      min_tput = std::min(min_tput, tl[i]);
-    double recovery_ms = -1;  // -1 = did not recover inside the window
-    for (size_t i = fault_bin; i + 1 < tl.size(); ++i) {
-      if (tl[i] >= 0.95 * baseline && tl[i + 1] >= 0.95 * baseline) {
-        recovery_ms = static_cast<double>(static_cast<SimTime>(i + 1) * bin -
-                                          fault_at) /
-                      kMillisecond;
-        break;
-      }
-    }
-    metrics.Set("fault_at_ms", static_cast<double>(fault_at) / kMillisecond);
-    metrics.Set("baseline_mrps", baseline / 1e6);
-    metrics.Set("collapse_frac",
-                baseline > 0 ? 1.0 - min_tput / baseline : 0.0);
-    metrics.Set("recovery_ms", recovery_ms);
-    return metrics;
+    // A stricter bar than fig_failures: failover + degradation should
+    // restore ≥95% within the detection window plus the rebuild delay.
+    return RunWithRecoveryAnalysis(p.config, /*recovered_frac=*/0.95);
   };
   spec.include_timelines = true;
   spec.table_metrics = {"rx_mrps",      "collapse_frac",      "recovery_ms",

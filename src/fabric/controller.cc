@@ -3,6 +3,8 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "netcache/controller.h"
+#include "orbitcache/controller.h"
 
 namespace orbit::fabric {
 
@@ -15,45 +17,43 @@ FabricController::FabricController(
     : topo_(topo),
       partitioner_(partitioner),
       server_addrs_(std::move(server_addrs)),
-      scheme_(spec.scheme) {
+      per_leaf_(spec.controller.cache_size) {
   const int racks = topo_->num_racks();
   ORBIT_CHECK_MSG(static_cast<int>(server_addrs_.size()) % racks == 0,
                   "servers must split evenly across racks");
-  ORBIT_CHECK(scheme_ != testbed::Scheme::kNoCache);
+  ORBIT_CHECK(spec.scheme != testbed::Scheme::kNoCache);
   degraded_.assign(static_cast<size_t>(racks), false);
   standby_.assign(static_cast<size_t>(racks), {});
   installed_extras_.assign(static_cast<size_t>(racks), {});
 
   for (int r = 0; r < racks; ++r) {
+    const auto ri = static_cast<size_t>(r);
     const Addr addr = controller_addr(r);
-    if (scheme_ == testbed::Scheme::kOrbitCache) {
-      ORBIT_CHECK(orbit_programs[static_cast<size_t>(r)] != nullptr);
-      auto ctrl = std::make_unique<oc::Controller>(
-          sim, net, orbit_programs[static_cast<size_t>(r)], partitioner_,
-          server_addrs_, addr, /*self_port=*/0, spec.oc);
-      const auto at = topo_->AttachHost(ctrl.get(), addr, r, spec.ctrl_link);
-      ORBIT_CHECK(at.port_a == 0);
-      orbit_ctrls_.push_back(std::move(ctrl));
-      ctrl_links_.push_back(at.link);
+    std::unique_ptr<ctrl::CacheController> c;
+    if (spec.scheme == testbed::Scheme::kOrbitCache) {
+      ORBIT_CHECK(orbit_programs[ri] != nullptr);
+      c = std::make_unique<oc::Controller>(sim, net, orbit_programs[ri],
+                                           partitioner_, server_addrs_, addr,
+                                           /*self_port=*/0, spec.controller);
     } else {
-      ORBIT_CHECK(net_programs[static_cast<size_t>(r)] != nullptr);
-      auto ctrl = std::make_unique<nc::NetController>(
-          sim, net, net_programs[static_cast<size_t>(r)], partitioner_,
-          server_addrs_, addr, /*self_port=*/0, spec.nc);
-      const auto at = topo_->AttachHost(ctrl.get(), addr, r, spec.ctrl_link);
-      ORBIT_CHECK(at.port_a == 0);
-      net_ctrls_.push_back(std::move(ctrl));
-      ctrl_links_.push_back(at.link);
+      ORBIT_CHECK(net_programs[ri] != nullptr);
+      c = std::make_unique<nc::NetController>(
+          sim, net, net_programs[ri], partitioner_, server_addrs_, addr,
+          /*self_port=*/0, spec.controller);
     }
+    const auto at = topo_->AttachHost(c.get(), addr, r, spec.ctrl_link);
+    ORBIT_CHECK(at.port_a == 0);
+    ctrls_.push_back(std::move(c));
+    ctrl_links_.push_back(at.link);
   }
 }
 
 void FabricController::PreloadTopKeys(
-    const wl::KeySpace& keyspace, size_t per_leaf,
+    const wl::KeySpace& keyspace,
     const std::function<bool(const Key&)>& admit) {
-  if (per_leaf == 0) return;
+  if (per_leaf_ == 0) return;
   const size_t racks = static_cast<size_t>(num_racks());
-  const size_t per_rack = racks > 1 ? 2 * per_leaf : per_leaf;
+  const size_t per_rack = racks > 1 ? 2 * per_leaf_ : per_leaf_;
   std::vector<std::vector<Key>> groups(racks);
   std::vector<size_t> dealt(racks, 0);
   size_t done = 0;  // racks dealt all their ranks
@@ -62,35 +62,23 @@ void FabricController::PreloadTopKeys(
     Key key = keyspace.KeyAtRank(rank);
     const auto r = static_cast<size_t>(RackOfKey(key));
     if (dealt[r] == per_rack) continue;
-    const bool preload = dealt[r] < per_leaf;
+    const bool preload = dealt[r] < per_leaf_;
     if (++dealt[r] == per_rack) ++done;
     if (admit && !admit(key)) continue;
     (preload ? groups[r] : standby_[r]).push_back(std::move(key));
   }
-  for (size_t r = 0; r < racks; ++r) {
-    if (groups[r].empty()) continue;
-    if (scheme_ == testbed::Scheme::kOrbitCache)
-      orbit_ctrls_[r]->Preload(groups[r]);
-    else
-      net_ctrls_[r]->Preload(groups[r]);
-  }
+  for (size_t r = 0; r < racks; ++r)
+    if (!groups[r].empty()) ctrls_[r]->Preload(groups[r]);
 }
 
 void FabricController::Start() {
-  for (auto& c : orbit_ctrls_) c->Start();
-  for (auto& c : net_ctrls_) c->Start();
+  for (auto& c : ctrls_) c->Start();
 }
 
 size_t FabricController::TotalCacheSize() const {
   size_t total = 0;
-  for (const auto& c : orbit_ctrls_) total += c->current_cache_size();
+  for (const auto& c : ctrls_) total += c->current_cache_size();
   return total;
-}
-
-bool FabricController::AnyDegraded() const {
-  for (const bool d : degraded_)
-    if (d) return true;
-  return false;
 }
 
 size_t FabricController::degraded_leaves() const {
@@ -112,11 +100,7 @@ void FabricController::OnLeafDown(int rack) {
   for (size_t r = 0; r < degraded_.size(); ++r) {
     if (degraded_[r] || !installed_extras_[r].empty()) continue;
     for (const Key& key : standby_[r]) {
-      const size_t installed =
-          scheme_ == testbed::Scheme::kOrbitCache
-              ? orbit_ctrls_[r]->InstallExtra({key})
-              : net_ctrls_[r]->InstallExtra({key});
-      if (installed == 1) {
+      if (ctrls_[r]->InstallExtra({key}) == 1) {
         installed_extras_[r].push_back(key);
         ++stats_.extra_keys_installed;
       }
@@ -130,14 +114,10 @@ void FabricController::OnLeafUp(int rack) {
   if (!degraded_[up]) return;
   degraded_[up] = false;
   ++stats_.leaf_up_events;
-  if (AnyDegraded()) return;  // another leaf still in bypass; keep extras
+  if (degraded_leaves() > 0) return;  // another leaf still in bypass
   for (size_t r = 0; r < installed_extras_.size(); ++r) {
-    for (const Key& key : installed_extras_[r]) {
-      const bool withdrawn = scheme_ == testbed::Scheme::kOrbitCache
-                                 ? orbit_ctrls_[r]->WithdrawKey(key)
-                                 : net_ctrls_[r]->WithdrawKey(key);
-      if (withdrawn) ++stats_.extra_keys_withdrawn;
-    }
+    for (const Key& key : installed_extras_[r])
+      if (ctrls_[r]->WithdrawKey(key)) ++stats_.extra_keys_withdrawn;
     installed_extras_[r].clear();
   }
 }
@@ -146,10 +126,7 @@ void FabricController::RebuildLeaf(int rack) {
   const auto r = static_cast<size_t>(rack);
   ORBIT_CHECK(r < degraded_.size());
   ++stats_.leaf_rebuilds;
-  if (scheme_ == testbed::Scheme::kOrbitCache)
-    orbit_ctrls_[r]->RebuildCache();
-  else
-    net_ctrls_[r]->RebuildCache();
+  ctrls_[r]->RebuildCache();
 }
 
 void FabricController::RegisterTelemetry(telemetry::Registry& reg) {

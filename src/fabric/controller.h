@@ -19,10 +19,11 @@
 #include <memory>
 #include <vector>
 
+#include "control/controller.h"
 #include "fabric/topology.h"
 #include "kv/partition.h"
-#include "netcache/controller.h"
-#include "orbitcache/controller.h"
+#include "netcache/program.h"
+#include "orbitcache/program.h"
 #include "telemetry/counters.h"
 #include "testbed/constants.h"
 #include "testbed/testbed.h"
@@ -32,15 +33,15 @@ namespace orbit::fabric {
 
 struct FabricControllerSpec {
   testbed::Scheme scheme = testbed::Scheme::kOrbitCache;
-  oc::ControllerConfig oc;     // per-leaf template (kOrbitCache)
-  nc::NetControllerConfig nc;  // per-leaf template (kNetCache)
-  sim::LinkConfig ctrl_link;   // controller access link, per leaf
+  ctrl::ControllerConfig controller;  // per-leaf template
+  sim::LinkConfig ctrl_link;          // controller access link, per leaf
 };
 
 class FabricController {
  public:
   // `orbit_programs` / `net_programs` hold one program per rack (the one
-  // not matching `spec.scheme` may be empty). Attaches rack r's controller
+  // not matching `spec.scheme` may be empty). Builds rack r's controller
+  // for `spec.scheme` from the `spec.controller` template and attaches it
   // at address testbed::kControllerBase + r behind leaf r.
   FabricController(sim::Simulator* sim, sim::Network* net,
                    FabricTopology* topo, const kv::Partitioner* partitioner,
@@ -70,46 +71,41 @@ class FabricController {
     return RackOfServer(static_cast<int>(partitioner_->ServerFor(key)));
   }
 
-  oc::Controller* orbit(int rack) {
-    return orbit_ctrls_[static_cast<size_t>(rack)].get();
-  }
-  nc::NetController* netcache(int rack) {
-    return net_ctrls_[static_cast<size_t>(rack)].get();
+  const ctrl::CacheController& controller(int rack) const {
+    return *ctrls_[static_cast<size_t>(rack)];
   }
 
   // Walks popularity ranks 0.. and deals each rank to its owning leaf until
-  // every leaf was dealt `per_leaf` ranks, then preloads each leaf with the
-  // keys among them that pass `admit` (null = admit all). A rank that
-  // fails `admit` still spends its slot: a leaf caches the admissible
-  // subset of its rack's hottest `per_leaf` items, as the paper's NetCache
-  // preload does (§5.1). With more than one rack the walk goes on for
-  // another `per_leaf` ranks per rack, whose admissible keys become the
-  // degraded-mode standby list (OnLeafDown); a lone leaf has no survivor
-  // to top up and keeps none.
-  void PreloadTopKeys(const wl::KeySpace& keyspace, size_t per_leaf,
+  // every leaf was dealt `per_leaf` ranks (the template's cache_size), then
+  // preloads each leaf with the keys among them that pass `admit` (null =
+  // admit all). A rank that fails `admit` still spends its slot: a leaf
+  // caches the admissible subset of its rack's hottest `per_leaf` items, as
+  // the paper's NetCache preload does (§5.1). With more than one rack the
+  // walk goes on for another `per_leaf` ranks per rack, whose admissible
+  // keys become the degraded-mode standby list (OnLeafDown); a lone leaf
+  // has no survivor to top up and keeps none.
+  void PreloadTopKeys(const wl::KeySpace& keyspace,
                       const std::function<bool(const Key&)>& admit);
 
   // Starts every per-leaf controller's periodic update timer.
   void Start();
 
-  // Sum of per-leaf dynamic-sizing outcomes (kOrbitCache only).
+  // Sum of the per-leaf cache-size targets (the dynamic-sizing outcome).
   size_t TotalCacheSize() const;
 
-  // Graceful degradation (PR 10). OnLeafDown marks `rack`'s preload set
-  // invalid (its leaf is in bypass; nothing caches its keys — caching them
-  // on another rack's leaf would break write coherence, since writes no
+  // Graceful degradation. OnLeafDown marks `rack`'s preload set invalid
+  // (its leaf is in bypass; nothing caches its keys — caching them on
+  // another rack's leaf would break write coherence, since writes no
   // longer traverse a caching switch) and tops up every surviving leaf
-  // with its own rack's standby keys. OnLeafUp clears the mark; once no
-  // leaf is degraded the extras are withdrawn and the fabric returns to
-  // its per-leaf budget. RebuildLeaf re-installs and refetches `rack`'s
-  // tracked entries after its wiped data plane comes back (scheme
-  // dispatch over the per-leaf controllers).
+  // with its own rack's standby keys. A survivor's next update tick ranks
+  // these extras with its preloaded keys and trims the set back to its
+  // cache size, keeping the hottest. OnLeafUp clears the mark; once no
+  // leaf is degraded the extras still cached are withdrawn. RebuildLeaf
+  // re-installs and refetches `rack`'s tracked entries after its wiped
+  // data plane comes back.
   void OnLeafDown(int rack);
   void OnLeafUp(int rack);
   void RebuildLeaf(int rack);
-  bool leaf_degraded(int rack) const {
-    return degraded_[static_cast<size_t>(rack)];
-  }
   size_t degraded_leaves() const;
 
   struct Stats {
@@ -126,13 +122,11 @@ class FabricController {
   void RegisterTelemetry(telemetry::Registry& reg);
 
  private:
-  bool AnyDegraded() const;
   FabricTopology* topo_;
   const kv::Partitioner* partitioner_;
   std::vector<Addr> server_addrs_;
-  testbed::Scheme scheme_;
-  std::vector<std::unique_ptr<oc::Controller>> orbit_ctrls_;
-  std::vector<std::unique_ptr<nc::NetController>> net_ctrls_;
+  std::vector<std::unique_ptr<ctrl::CacheController>> ctrls_;
+  size_t per_leaf_;  // the template's cache_size
   std::vector<sim::Link*> ctrl_links_;
 
   // Degradation state (sized to num_racks by the constructor).

@@ -1,9 +1,6 @@
 #include "netcache/controller.h"
 
-#include <algorithm>
-
 #include "common/check.h"
-#include "common/logging.h"
 
 namespace orbit::nc {
 
@@ -11,218 +8,34 @@ NetController::NetController(sim::Simulator* sim, sim::Network* net,
                              NetProgram* program,
                              const kv::Partitioner* partitioner,
                              std::vector<Addr> server_addrs, Addr self_addr,
-                             int self_port, const NetControllerConfig& config)
-    : sim_(sim),
-      net_(net),
-      program_(program),
-      partitioner_(partitioner),
-      server_addrs_(std::move(server_addrs)),
-      self_addr_(self_addr),
-      self_port_(self_port),
-      config_(config) {
-  ORBIT_CHECK(sim != nullptr && net != nullptr && program != nullptr &&
-              partitioner != nullptr);
+                             int self_port,
+                             const ctrl::ControllerConfig& config)
+    : CacheController(sim, net, partitioner, std::move(server_addrs),
+                      self_addr, self_port, config,
+                      program->config().capacity),
+      program_(program) {
   ORBIT_CHECK_MSG(config_.cache_size <= program->config().capacity,
                   "cache size exceeds lookup capacity");
-  // Free-index pool covers the full lookup capacity; cache_size caps how
-  // many are in normal use, leaving headroom for degraded-mode extras.
-  const auto capacity = static_cast<uint32_t>(program->config().capacity);
-  for (uint32_t i = 0; i < capacity; ++i)
-    free_idxs_.push_back(capacity - 1 - i);
 }
 
-void NetController::Preload(const std::vector<Key>& keys) {
-  for (const Key& key : keys) {
-    if (by_key_.size() >= config_.cache_size) break;
-    if (by_key_.count(key) > 0) continue;
-    if (key.size() > program_->config().max_key_bytes) {
-      // Hardware cannot match this key; NetCache must skip it.
-      ++stats_.skipped_wide_keys;
-      continue;
-    }
-    InsertKey(key, AllocIdx());
+bool NetController::Admit(const Key& key) {
+  if (blacklist_.count(key) > 0) return false;
+  if (key.size() > program_->config().max_key_bytes) {
+    // Hardware cannot match this key; NetCache must skip it.
+    ++stats_.skipped_wide_keys;
+    return false;
   }
-}
-
-void NetController::RebuildCache() {
-  pending_fetches_.clear();
-  for (const auto& [idx, entry] : by_idx_) {
-    // The data plane was wiped, so re-insertion cannot conflict.
-    ORBIT_CHECK(program_->InsertEntry(entry.key, idx));
-    SendFetch(entry.key, server_addrs_[partitioner_->ServerFor(entry.key)]);
-  }
-}
-
-size_t NetController::InstallExtra(const std::vector<Key>& keys) {
-  size_t installed = 0;
-  for (const Key& key : keys) {
-    if (by_key_.count(key) > 0 || blacklist_.count(key) > 0) continue;
-    if (key.size() > program_->config().max_key_bytes) {
-      ++stats_.skipped_wide_keys;
-      continue;
-    }
-    if (free_idxs_.empty()) break;  // lookup capacity exhausted
-    InsertKey(key, AllocIdx());
-    if (by_key_.count(key) > 0) ++installed;  // table may reject (full)
-  }
-  return installed;
-}
-
-bool NetController::WithdrawKey(const Key& key) {
-  auto it = by_key_.find(key);
-  if (it == by_key_.end()) return false;
-  EvictIdx(it->second);
   return true;
 }
 
-void NetController::Start() {
-  ORBIT_CHECK(!started_);
-  started_ = true;
-  sim_->AfterTimer(config_.update_period, this);
-}
-
-void NetController::OnTimer(uint64_t /*arg*/) { Tick(); }
-
-void NetController::Tick() {
-  ++stats_.updates;
-  CheckFetchTimeouts();
-  ReconcileSelfEvictions();
-  UpdateCacheEntries();
-  program_->ResetSketch();
-  sim_->AfterTimer(config_.update_period, this);
-}
-
-void NetController::ReconcileSelfEvictions() {
+void NetController::BeforeUpdate() {
   for (const Key& key : program_->DrainSelfEvictions()) {
     blacklist_.insert(key);
     ++stats_.blacklisted_values;
-    auto it = by_key_.find(key);
-    if (it == by_key_.end()) continue;
-    const uint32_t idx = it->second;
-    pending_fetches_.erase(key);
-    by_idx_.erase(idx);
-    by_key_.erase(it);
-    free_idxs_.push_back(idx);
-    ++stats_.evictions;
+    Evict(key, /*erase_entry=*/false);  // the data plane already did
   }
-}
-
-void NetController::UpdateCacheEntries() {
-  const std::vector<uint64_t> pop = program_->ReadAndResetPopularity();
-  for (auto& [idx, entry] : by_idx_) entry.last_count = pop[idx];
-
-  std::vector<std::pair<Key, uint64_t>> candidates =
-      program_->DrainHotReports();
-  std::erase_if(candidates, [this](const auto& c) {
-    return by_key_.count(c.first) > 0 || blacklist_.count(c.first) > 0 ||
-           c.first.size() > program_->config().max_key_bytes;
-  });
-  std::sort(candidates.begin(), candidates.end(),
-            [](const auto& a, const auto& b) {
-              return a.second > b.second ||
-                     (a.second == b.second && a.first < b.first);
-            });
-
-  std::vector<uint32_t> victims;
-  victims.reserve(by_idx_.size());
-  for (const auto& [idx, entry] : by_idx_) victims.push_back(idx);
-  std::sort(victims.begin(), victims.end(), [this](uint32_t a, uint32_t b) {
-    return by_idx_.at(a).last_count < by_idx_.at(b).last_count;
-  });
-
-  size_t v = 0;
-  for (const auto& [key, count] : candidates) {
-    if (by_key_.size() < config_.cache_size) {
-      InsertKey(key, AllocIdx());
-      continue;
-    }
-    if (v >= victims.size()) break;
-    CachedEntry& victim = by_idx_.at(victims[v]);
-    if (count <= victim.last_count) break;
-    const uint32_t idx = victim.idx;
-    EvictIdx(idx);
-    free_idxs_.pop_back();
-    InsertKey(key, idx);
-    ++v;
-  }
-}
-
-void NetController::InsertKey(const Key& key, uint32_t idx) {
-  if (!program_->InsertEntry(key, idx)) {
-    LOG_WARN("nc-controller: lookup table rejected " << key);
-    free_idxs_.push_back(idx);
-    return;
-  }
-  by_idx_[idx] = CachedEntry{key, idx, 0};
-  by_key_[key] = idx;
-  ++stats_.insertions;
-  SendFetch(key, server_addrs_[partitioner_->ServerFor(key)]);
-}
-
-void NetController::EvictIdx(uint32_t idx) {
-  auto it = by_idx_.find(idx);
-  ORBIT_CHECK(it != by_idx_.end());
-  program_->EraseEntry(it->second.key);
-  pending_fetches_.erase(it->second.key);
-  by_key_.erase(it->second.key);
-  by_idx_.erase(it);
-  free_idxs_.push_back(idx);
-  ++stats_.evictions;
-}
-
-uint32_t NetController::AllocIdx() {
-  ORBIT_CHECK_MSG(!free_idxs_.empty(), "no free cache indices");
-  const uint32_t idx = free_idxs_.back();
-  free_idxs_.pop_back();
-  return idx;
-}
-
-void NetController::SendFetch(const Key& key, Addr server) {
-  PendingFetch& pf = pending_fetches_[key];
-  pf.key = key;
-  pf.server = server;
-  pf.deadline = sim_->now() + config_.fetch_timeout;
-  ++pf.attempts;
-  ++stats_.fetches_sent;
-
-  proto::Message msg;
-  msg.op = proto::Op::kFetchReq;
-  msg.seq = fetch_seq_++;
-  msg.hkey = HashKey128(key);
-  msg.key = key;
-  net_->Send(this, self_port_,
-             sim::MakePacket(self_addr_, server, config_.orbit_port,
-                             config_.orbit_port, std::move(msg)));
-}
-
-void NetController::CheckFetchTimeouts() {
-  std::vector<Key> retry;
-  std::vector<Key> give_up;
-  for (const auto& [key, pf] : pending_fetches_) {
-    if (pf.deadline > sim_->now()) continue;
-    (pf.attempts >= config_.max_fetch_attempts ? give_up : retry)
-        .push_back(key);
-  }
-  for (const Key& key : retry) {
-    PendingFetch pf = pending_fetches_[key];
-    ++stats_.fetch_retries;
-    SendFetch(pf.key, pf.server);
-  }
-  for (const Key& key : give_up) {
-    auto it = by_key_.find(key);
-    if (it != by_key_.end()) EvictIdx(it->second);
-    pending_fetches_.erase(key);
-  }
-}
-
-void NetController::OnPacket(sim::PacketPtr pkt, int /*port*/) {
-  if (pkt->msg.op == proto::Op::kFetchRep) {
-    sim::MarkEnd(*pkt, sim::PacketEnd::kConsumed);
-    pending_fetches_.erase(pkt->msg.key);
-    return;
-  }
-  sim::MarkEnd(*pkt, sim::PacketEnd::kIgnored);
-  LOG_DEBUG("nc-controller: ignoring " << proto::OpName(pkt->msg.op));
+  for (const auto& [key, count] : program_->DrainHotReports())
+    Report(key, count);
 }
 
 }  // namespace orbit::nc

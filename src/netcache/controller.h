@@ -1,116 +1,46 @@
-// NetCache control plane: periodic cache updates driven by the data-plane
-// count-min reports (hot uncached keys) and per-entry hit counters (cached
-// keys). Keys whose fetched values turn out to exceed the n×k value ceiling
-// are blacklisted — NetCache simply cannot cache them, which is the paper's
-// core motivation.
+// The NetCache control plane on the shared controller core: entries match
+// on the key itself, so keys wider than the hardware match key are
+// inadmissible, and candidates are the data-plane count-min reports. Keys
+// whose fetched values exceed the n×k value ceiling are self-evicted by
+// the data plane and blacklisted here — NetCache simply cannot cache them,
+// which is the paper's core motivation.
 #pragma once
 
-#include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
-#include "common/types.h"
-#include "kv/partition.h"
+#include "control/controller.h"
 #include "netcache/program.h"
-#include "sim/network.h"
-#include "sim/node.h"
-#include "sim/simulator.h"
 
 namespace orbit::nc {
 
-struct NetControllerConfig {
-  size_t cache_size = 10000;
-  SimTime update_period = 100 * kMillisecond;
-  SimTime fetch_timeout = 2 * kMillisecond;
-  int max_fetch_attempts = 5;
-  L4Port orbit_port = 5008;
-};
-
-class NetController : public sim::Node, public sim::TimerHandler {
+class NetController : public ctrl::CacheController {
  public:
   NetController(sim::Simulator* sim, sim::Network* net, NetProgram* program,
                 const kv::Partitioner* partitioner,
                 std::vector<Addr> server_addrs, Addr self_addr, int self_port,
-                const NetControllerConfig& config);
+                const ctrl::ControllerConfig& config);
 
-  // Installs the initial cache set; keys wider than the match key are
-  // skipped (uncacheable), mirroring hardware behaviour.
-  void Preload(const std::vector<Key>& keys);
-  void Start();
-
-  // Switch-failure recovery: after ResetDataPlane wiped the lookup table
-  // and value registers, re-install every tracked entry and refetch the
-  // values. Retries ride the periodic-update timeout machinery.
-  void RebuildCache();
-
-  // Degraded-mode top-up (fabric leaf crash, PR 10): installs keys beyond
-  // the cache_size target — bounded only by lookup capacity — so a
-  // surviving leaf absorbs its rack's next-hottest keys while a sibling
-  // leaf is in bypass. Returns the number actually installed. WithdrawKey
-  // removes one cached key; returns false if it was not cached.
-  size_t InstallExtra(const std::vector<Key>& keys);
-  bool WithdrawKey(const Key& key);
-
-  void OnPacket(sim::PacketPtr pkt, int port) override;
   std::string name() const override { return "nc-controller"; }
-  void OnTimer(uint64_t arg) override;  // periodic update tick
-
-  size_t num_cached() const { return by_key_.size(); }
-  bool IsCached(const Key& key) const { return by_key_.count(key) > 0; }
-
-  struct Stats {
-    uint64_t updates = 0;
-    uint64_t insertions = 0;
-    uint64_t evictions = 0;
-    uint64_t fetches_sent = 0;
-    uint64_t fetch_retries = 0;
-    uint64_t skipped_wide_keys = 0;
-    uint64_t blacklisted_values = 0;
-  };
-  const Stats& stats() const { return stats_; }
 
  private:
-  struct CachedEntry {
-    Key key;
-    uint32_t idx = 0;
-    uint64_t last_count = 0;
-  };
-  struct PendingFetch {
-    Key key;
-    Addr server = kInvalidAddr;
-    int attempts = 0;
-    SimTime deadline = 0;
-  };
+  bool InsertEntry(const Key& key, const Hash128&, uint32_t idx) override {
+    return program_->InsertEntry(key, idx);
+  }
+  void EraseEntry(const Key& key, const Hash128&) override {
+    program_->EraseEntry(key);
+  }
+  std::vector<uint64_t> ReadAndResetPopularity() override {
+    return program_->ReadAndResetPopularity();
+  }
+  bool Admit(const Key& key) override;
+  // Blacklists the data plane's self-evictions, then takes the sketch's
+  // hot reports as candidates.
+  void BeforeUpdate() override;
+  void AfterUpdate() override { program_->ResetSketch(); }
 
-  void Tick();
-  void ReconcileSelfEvictions();
-  void UpdateCacheEntries();
-  void InsertKey(const Key& key, uint32_t idx);
-  void EvictIdx(uint32_t idx);
-  void SendFetch(const Key& key, Addr server);
-  void CheckFetchTimeouts();
-  uint32_t AllocIdx();
-
-  sim::Simulator* sim_;
-  sim::Network* net_;
   NetProgram* program_;
-  const kv::Partitioner* partitioner_;
-  std::vector<Addr> server_addrs_;
-  Addr self_addr_;
-  int self_port_;
-  NetControllerConfig config_;
-
-  std::unordered_map<uint32_t, CachedEntry> by_idx_;
-  std::unordered_map<Key, uint32_t> by_key_;
-  std::vector<uint32_t> free_idxs_;
-  std::unordered_map<Key, PendingFetch> pending_fetches_;
   std::unordered_set<Key> blacklist_;  // values proven over-limit
-  uint32_t fetch_seq_ = 1;
-  bool started_ = false;
-
-  Stats stats_;
 };
 
 }  // namespace orbit::nc

@@ -13,7 +13,6 @@
 #include "kv/partition.h"
 #include "netcache/program.h"
 #include "nocache/program.h"
-#include "orbitcache/controller.h"
 #include "orbitcache/program.h"
 #include "rmt/switch.h"
 #include "sim/network.h"
@@ -385,29 +384,19 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
     cspec.scheme = config.scheme;
     cspec.ctrl_link.rate_gbps = 10.0;
     cspec.ctrl_link.propagation = config.topo.link_delay;
-    cspec.oc.cache_size = config.cache.orbit_cache_size;
-    cspec.oc.max_cache_size = config.cache.orbit_capacity;
-    cspec.oc.min_cache_size =
+    cspec.controller.cache_size = config.scheme == Scheme::kOrbitCache
+                                      ? config.cache.orbit_cache_size
+                                      : config.cache.netcache_size;
+    cspec.controller.max_cache_size = config.cache.orbit_capacity;
+    cspec.controller.min_cache_size =
         std::min<size_t>(32, config.cache.orbit_cache_size);
-    cspec.oc.dynamic_sizing = config.cache.dynamic_sizing;
-    cspec.oc.update_period = config.control.update_period;
-    cspec.oc.orbit_port = kOrbitPort;
-    cspec.oc.ctrl_port = kCtrlPort;
-    cspec.nc.cache_size = config.cache.netcache_size;
-    cspec.nc.update_period = config.control.update_period;
-    cspec.nc.orbit_port = kOrbitPort;
+    cspec.controller.dynamic_sizing = config.cache.dynamic_sizing;
+    cspec.controller.update_period = config.control.update_period;
+    cspec.controller.orbit_port = kOrbitPort;
     fab_ctrl = std::make_unique<fabric::FabricController>(
         &sim, &net, &topo, &partitioner, server_addrs, orbits, netps, cspec);
-    for (int r = 0; r < racks; ++r) {
+    for (int r = 0; r < racks; ++r)
       register_clone_target(fab_ctrl->controller_addr(r));
-      if (!orbits.empty()) {
-        orbits[static_cast<size_t>(r)]->SetRefetchFn(
-            [ctrl = fab_ctrl->orbit(r)](const Key& key, const Hash128& hkey,
-                                        Addr server) {
-              ctrl->RequestRefetch(key, hkey, server);
-            });
-      }
-    }
   }
 
   // ---- failure detection & rerouting --------------------------------------
@@ -591,14 +580,12 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
   // the cacheable subset of them: the paper preloads the cacheable subset
   // of the 10K hottest items.
   if (config.cache.preload && fab_ctrl != nullptr) {
-    if (config.scheme == Scheme::kOrbitCache) {
-      fab_ctrl->PreloadTopKeys(workload->keyspace(),
-                               config.cache.orbit_cache_size, nullptr);
-    } else {
-      fab_ctrl->PreloadTopKeys(
-          workload->keyspace(), config.cache.netcache_size,
-          [&config](const Key& key) { return NetCacheCanCache(config, key); });
-    }
+    std::function<bool(const Key&)> admit;
+    if (config.scheme == Scheme::kNetCache)
+      admit = [&config](const Key& key) {
+        return NetCacheCanCache(config, key);
+      };
+    fab_ctrl->PreloadTopKeys(workload->keyspace(), admit);
   }
 
   // ---- timers & measurement ----------------------------------------------
@@ -791,6 +778,7 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
     res.cp_drop_invalid = s1.cp_drop_invalid;
     res.cp_drop_epoch = s1.cp_drop_epoch;
     res.validations = s1.validations;
+    res.controller_cache_size = fab_ctrl->TotalCacheSize();
   }
   if (!netps.empty()) {
     const auto s1 = sum_net_stats();
@@ -800,7 +788,6 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
         secs;
     for (const nc::NetProgram* p : netps) res.cache_entries += p->num_entries();
   }
-  if (fab_ctrl != nullptr) res.controller_cache_size = fab_ctrl->TotalCacheSize();
   res.recirc_drops = sum_recirc_drops() - snap.recirc_drops;
   // All leaves run the identical program: one leaf's RMT ledger is the
   // per-switch usage story (a fabric does not pool SRAM across switches).
@@ -895,7 +882,7 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
         census_skip = "cache packets were retired mid-run";
     }
     for (int r = 0; census_skip.empty() && r < racks; ++r) {
-      const auto& cs = fab_ctrl->orbit(r)->stats();
+      const auto& cs = fab_ctrl->controller(r).stats();
       if (cs.evictions > 0 || cs.fetch_retries > 0 || cs.fetch_failures > 0)
         census_skip = "controller evicted or re-fetched entries";
     }

@@ -31,7 +31,7 @@ struct RigConfig {
   bool multi_packet_servers = false;
   uint32_t value_size = 64;
   bool with_controller = false;
-  oc::ControllerConfig controller;
+  ctrl::ControllerConfig controller;
   // Link used for switch<->server connections (loss injection etc.).
   sim::LinkConfig server_link;
 };
@@ -95,10 +95,6 @@ class Rig {
       auto k = net_.Connect(controller_.get(), &sw_, sim::LinkConfig{});
       sw_.AddRoute(kControllerAddr, k.port_b);
       program_->RegisterCloneTarget(kControllerAddr, k.port_b);
-      program_->SetRefetchFn([this](const Key& key, const Hash128& hkey,
-                                    Addr server) {
-        controller_->RequestRefetch(key, hkey, server);
-      });
     } else {
       // Route fetch acks somewhere harmless.
       auto k = net_.Connect(&client_, &sw_, sim::LinkConfig{});

@@ -1,17 +1,18 @@
 // The figure harnesses promise the paper's §5.1 methodology; pin the
 // shared configuration to the paper's constants so a drive-by edit can't
-// silently change what the benches measure.
-#include "bench/bench_util.h"
-
+// silently change what the benches measure. Every bench binary selects
+// its scale through harness::ParseCli and builds its testbed from
+// harness::ScaledPaperConfig, so both are pinned here.
 #include <gtest/gtest.h>
 
-namespace orbit::benchutil {
+#include "harness/cli.h"
+#include "harness/spec.h"
+
+namespace orbit::harness {
 namespace {
 
 TEST(PaperConfig, MatchesSection51) {
-  Mode full;
-  full.full = true;
-  const testbed::TestbedConfig cfg = PaperConfig(full);
+  const testbed::TestbedConfig cfg = ScaledPaperConfig(Scale::kFull);
   EXPECT_EQ(cfg.topo.num_clients, 4);              // 4 client nodes
   EXPECT_EQ(cfg.topo.num_servers, 32);             // 4 nodes x 8 emulated servers
   EXPECT_DOUBLE_EQ(cfg.topo.server_rate_rps, 100'000);  // Rx limit per server
@@ -27,57 +28,54 @@ TEST(PaperConfig, MatchesSection51) {
 }
 
 TEST(PaperConfig, QuickModeOnlyShrinksScale) {
-  Mode quick;
-  const testbed::TestbedConfig q = PaperConfig(quick);
-  Mode full;
-  full.full = true;
-  const testbed::TestbedConfig f = PaperConfig(full);
-  // Quick mode may shrink the key space and windows but must not alter
-  // the comparison-relevant knobs.
-  EXPECT_LT(q.workload.num_keys, f.workload.num_keys);
-  EXPECT_LE(q.duration, f.duration);
-  EXPECT_EQ(q.topo.num_servers, f.topo.num_servers);
-  EXPECT_EQ(q.cache.orbit_cache_size, f.cache.orbit_cache_size);
-  EXPECT_EQ(q.cache.netcache_size, f.cache.netcache_size);
-  EXPECT_DOUBLE_EQ(q.workload.zipf_theta, f.workload.zipf_theta);
-  EXPECT_EQ(q.seed, f.seed);
+  const testbed::TestbedConfig f = ScaledPaperConfig(Scale::kFull);
+  for (const Scale scale : {Scale::kQuick, Scale::kDefault}) {
+    const testbed::TestbedConfig q = ScaledPaperConfig(scale);
+    // Smaller scales may shrink the key space and windows but must not
+    // alter the comparison-relevant knobs.
+    EXPECT_LT(q.workload.num_keys, f.workload.num_keys);
+    EXPECT_LE(q.duration, f.duration);
+    EXPECT_EQ(q.topo.num_servers, f.topo.num_servers);
+    EXPECT_EQ(q.cache.orbit_cache_size, f.cache.orbit_cache_size);
+    EXPECT_EQ(q.cache.netcache_size, f.cache.netcache_size);
+    EXPECT_DOUBLE_EQ(q.workload.zipf_theta, f.workload.zipf_theta);
+    EXPECT_EQ(q.seed, f.seed);
+  }
 }
 
-TEST(ParseArgs, RecognizesFullFlag) {
+TEST(ParseCli, RecognizesFullFlag) {
   const char* argv1[] = {"bench"};
-  EXPECT_FALSE(ParseArgs(1, const_cast<char**>(argv1)).full);
+  EXPECT_EQ(ParseCli(1, const_cast<char**>(argv1)).runner.scale,
+            Scale::kDefault);
   const char* argv2[] = {"bench", "--full"};
-  EXPECT_TRUE(ParseArgs(2, const_cast<char**>(argv2)).full);
+  EXPECT_EQ(ParseCli(2, const_cast<char**>(argv2)).runner.scale,
+            Scale::kFull);
 }
 
-TEST(ParseArgs, RecognizesQuickFlag) {
+TEST(ParseCli, RecognizesQuickFlag) {
   const char* argv[] = {"bench", "--quick"};
-  const Mode mode = ParseArgs(2, const_cast<char**>(argv));
-  EXPECT_TRUE(mode.quick);
-  EXPECT_EQ(mode.scale(), harness::Scale::kQuick);
+  const CliOptions opts = ParseCli(2, const_cast<char**>(argv));
+  EXPECT_TRUE(opts.ok());
+  EXPECT_EQ(opts.runner.scale, Scale::kQuick);
 }
 
-// The three scales are ordered; full is the §5.1 paper scale; PaperConfig
-// is a pure delegate of the single ScaleProfile source of truth.
+// The three scales are ordered; full is the §5.1 paper scale;
+// ScaledPaperConfig is a pure delegate of the single ScaleProfile source
+// of truth.
 TEST(ScaleProfile, OrderedAndDelegated) {
-  const harness::ScaleProfile q =
-      harness::PaperScaleProfile(harness::Scale::kQuick);
-  const harness::ScaleProfile d =
-      harness::PaperScaleProfile(harness::Scale::kDefault);
-  const harness::ScaleProfile f =
-      harness::PaperScaleProfile(harness::Scale::kFull);
+  const ScaleProfile q = PaperScaleProfile(Scale::kQuick);
+  const ScaleProfile d = PaperScaleProfile(Scale::kDefault);
+  const ScaleProfile f = PaperScaleProfile(Scale::kFull);
   EXPECT_LT(q.num_keys, d.num_keys);
   EXPECT_LT(d.num_keys, f.num_keys);
   EXPECT_LT(q.duration, d.duration);
   EXPECT_LT(d.duration, f.duration);
   EXPECT_EQ(f.num_keys, 10'000'000u);
 
-  Mode full;
-  full.full = true;
-  EXPECT_EQ(PaperConfig(full).workload.num_keys, f.num_keys);
-  EXPECT_EQ(PaperConfig(full).duration, f.duration);
-  EXPECT_EQ(PaperConfig(Mode{}).workload.num_keys, d.num_keys);
+  EXPECT_EQ(ScaledPaperConfig(Scale::kFull).workload.num_keys, f.num_keys);
+  EXPECT_EQ(ScaledPaperConfig(Scale::kFull).duration, f.duration);
+  EXPECT_EQ(ScaledPaperConfig(Scale::kDefault).workload.num_keys, d.num_keys);
 }
 
 }  // namespace
-}  // namespace orbit::benchutil
+}  // namespace orbit::harness

@@ -438,6 +438,22 @@ TEST(FabricDegradation, SurvivorsAreToppedUpWhileALeafIsDown) {
   EXPECT_EQ(res.stale_reads, 0u);
 }
 
+TEST(FabricDegradation, UpdateTickReranksTopUpExtras) {
+  // Top-up extras are not pinned while a leaf is down: the survivor's next
+  // update tick ranks them with its preloaded keys and trims the set back
+  // to its cache size, keeping the hottest. With a 20 ms update period the
+  // tick lands after the crash, so leaf 1 ends with exactly its budget.
+  TestbedConfig cfg = FaultFabricConfig(Scheme::kOrbitCache);
+  cfg.control.update_period = 20 * kMillisecond;
+  FaultEvent crash{12 * kMillisecond, FaultKind::kLeafCrash, -1};
+  crash.rack = 0;
+  cfg.fault.events.push_back(crash);
+  const TestbedResult res = RunTestbed(cfg);
+  EXPECT_EQ(res.faults_injected, 1u);
+  EXPECT_EQ(res.cache_entries, cfg.cache.orbit_cache_size);
+  EXPECT_EQ(res.stale_reads, 0u);
+}
+
 TEST(FabricDegradation, NetCacheLeavesDegradeToo) {
   TestbedConfig cfg = FaultFabricConfig(Scheme::kNetCache);
   cfg.fault = fault::LeafCrashAt(0, 12 * kMillisecond, 24 * kMillisecond,

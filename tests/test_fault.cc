@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
 #include "sim/link.h"
@@ -293,6 +294,46 @@ TEST(TestbedFaults, NetCacheSwitchResetIsRebuiltByTheController) {
       << "the rebuild restores every preloaded entry";
   EXPECT_EQ(res.verify_violations, 0u) << res.verify_report;
 }
+
+// A switch reset whose rebuild refetches are all lost (the controller
+// channel is down when they leave) must not leave the cache dark until the
+// next update tick: the rebuild sweep re-sends unanswered refetches every
+// fetch timeout, for both schemes.
+class TestbedFaults : public ::testing::TestWithParam<testbed::Scheme> {};
+
+TEST_P(TestbedFaults, NetCacheRebuildRetriesLostRefetches) {
+  testbed::TestbedConfig cfg = TinyConfig();
+  cfg.scheme = GetParam();
+  cfg.topo.client_rate_rps = 300'000;
+  cfg.cache.netcache_size = 256;
+  cfg.cache.orbit_cache_size = 128;
+  cfg.client.max_retries = 2;
+  cfg.client.request_timeout = kMillisecond;
+  cfg.warmup = 10 * kMillisecond;
+  cfg.duration = 30 * kMillisecond;
+  cfg.verify.enabled = true;
+  const testbed::TestbedResult clean = testbed::RunTestbed(cfg);
+  ASSERT_GT(clean.cache_served_rps, 0.0);
+
+  cfg.fault = SwitchResetAt(5 * kMillisecond, /*rebuild_delay=*/kMillisecond);
+  cfg.fault.events.push_back(
+      {5 * kMillisecond + kMillisecond / 2, FaultKind::kCtrlDown, -1});
+  cfg.fault.events.push_back(
+      {6 * kMillisecond + kMillisecond / 2, FaultKind::kCtrlUp, -1});
+  const testbed::TestbedResult res = testbed::RunTestbed(cfg);
+  EXPECT_EQ(res.faults_injected, 4u) << "reset, ctrl down, rebuild, ctrl up";
+  EXPECT_GE(res.cache_served_rps, 0.9 * clean.cache_served_rps)
+      << "lost rebuild refetches are retried before the window opens";
+  EXPECT_EQ(res.verify_violations, 0u) << res.verify_report;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, TestbedFaults,
+    ::testing::Values(testbed::Scheme::kNetCache,
+                      testbed::Scheme::kOrbitCache),
+    [](const ::testing::TestParamInfo<testbed::Scheme>& info) {
+      return std::string(testbed::SchemeName(info.param));
+    });
 
 TEST(TestbedFaults, CtrlChannelOutageIsInjected) {
   testbed::TestbedConfig cfg = TinyConfig();

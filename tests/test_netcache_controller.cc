@@ -35,7 +35,7 @@ class CtrlRig {
         &sim_, &net_, 0, scfg,
         [value_size](const Key&) { return value_size; });
 
-    NetControllerConfig ccfg;
+    ctrl::ControllerConfig ccfg;
     ccfg.cache_size = 4;
     ccfg.update_period = 2 * kMillisecond;
     ccfg.fetch_timeout = kMillisecond;
@@ -137,7 +137,7 @@ TEST(NetController, RejectsOversizedCacheConfig) {
   pcfg.capacity = 4;
   NetProgram prog(&sw, pcfg);
   kv::Partitioner part(1);
-  NetControllerConfig ccfg;
+  ctrl::ControllerConfig ccfg;
   ccfg.cache_size = 8;  // > capacity
   EXPECT_THROW(NetController(&sim, &net, &prog, &part, {kServerAddr},
                              kCtrlAddr, 0, ccfg),

@@ -16,7 +16,8 @@
 // prints p50/p99 side by side with relative deltas — the quick regression
 // view between two runs.
 //
-// Exit 0 on success, 2 on unreadable, empty, or malformed input.
+// Exit 0 on success (and for -h/--help), 2 on a usage error or on
+// unreadable, empty, or malformed input.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -24,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/flags.h"
 #include "harness/telemetry_io.h"
 
 namespace {
@@ -266,33 +268,29 @@ int Compare(const std::vector<JsonValue>& now_lines,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string in_path, compare_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      std::fprintf(stderr,
-                   "usage: %s int.jsonl [--compare prior_int.jsonl]\n",
-                   argv[0]);
-      return arg == "--help" || arg == "-h" ? 0 : 2;
-    }
-    if (arg == "--compare") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--compare needs a file argument\n");
-        return 2;
-      }
-      compare_path = argv[++i];
-    } else if (in_path.empty()) {
-      in_path = arg;
-    } else {
-      std::fprintf(stderr, "unexpected argument: %s\n", arg.c_str());
-      return 2;
-    }
-  }
-  if (in_path.empty()) {
-    std::fprintf(stderr, "usage: %s int.jsonl [--compare prior_int.jsonl]\n",
-                 argv[0]);
+  orbit::harness::Flags flags;
+  flags.AddString("compare", "", "FILE",
+                  "prior int.jsonl to compare against, hop by hop");
+  flags.AddBool("help", "this message").Alias("-h");
+  const auto usage = [&] {
+    std::fprintf(stderr, "usage: %s int.jsonl [--compare prior_int.jsonl]\n%s",
+                 argv[0], flags.Usage().c_str());
+  };
+  if (!flags.Parse(argc, argv)) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], flags.error().c_str());
+    usage();
     return 2;
   }
+  if (flags.GetBool("help")) {
+    usage();
+    return 0;
+  }
+  if (flags.positionals().size() != 1) {
+    usage();
+    return 2;
+  }
+  const std::string& in_path = flags.positionals()[0];
+  const std::string& compare_path = flags.GetString("compare");
 
   std::vector<JsonValue> lines;
   if (!LoadIntJsonl(in_path.c_str(), &lines)) return 2;
