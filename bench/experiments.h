@@ -1,9 +1,9 @@
 // Declarative specs for every figure, ablation, and extra experiment.
 //
-// Each bench binary registers one or more of these with the harness
-// (harness::HarnessMain) instead of hand-rolling sweep loops; bench/run_all
-// executes AllExperiments() as one suite. The paper commentary that used to
-// live in each binary's header comment now sits on the spec definitions in
+// bench/run_all hands AllExperiments() to the harness
+// (harness::HarnessMain), which runs the whole suite or the experiments
+// its positional filters select (harness::SelectExperiments). The paper
+// commentary for each figure sits on its spec definition in
 // experiments.cc.
 #pragma once
 

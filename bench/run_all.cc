@@ -1,7 +1,9 @@
-// The whole experiment suite: every figure, ablation, and extra, one
-// command. `run_all --quick --jobs 4 --out bench_quick.jsonl` is the CI
-// profile; positional arguments filter by experiment-name substring
-// (e.g. `run_all fig09 fig12`). See docs/HARNESS.md.
+// Runs the experiments: every figure, ablation, and extra, one command.
+// `run_all --quick --jobs 4 --out bench_quick.jsonl` is the CI profile.
+// A positional argument that is an experiment's name runs that experiment
+// alone (`run_all fig_fabric`); any other argument selects by name
+// substring (`run_all fig09 fig12`, `run_all fig17` for both Fig. 17
+// panels). See docs/HARNESS.md.
 #include "bench/experiments.h"
 #include "harness/cli.h"
 

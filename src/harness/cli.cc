@@ -1,5 +1,6 @@
 #include "harness/cli.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 
@@ -121,7 +122,9 @@ void PrintHelp(const char* prog, const std::vector<ExperimentSpec>& specs) {
       "       [--int-out int.jsonl] [--hist-out hist.jsonl]\n"
       "       [--flight-dump flight.txt] [--verify]\n"
       "\n"
-      "  NAME...            run only experiments whose name contains NAME\n"
+      "  NAME...            run only the experiment named NAME, or, when no\n"
+      "                     experiment has that name, those whose name\n"
+      "                     contains NAME\n"
       "%s"
       "\n"
       "experiments and swept parameters:\n",
@@ -138,6 +141,25 @@ void PrintHelp(const char* prog, const std::vector<ExperimentSpec>& specs) {
       std::printf("      %-20s%d (derived seeds)\n", "repetitions",
                   spec.repetitions);
   }
+}
+
+std::vector<ExperimentSpec> SelectExperiments(
+    const std::vector<ExperimentSpec>& specs,
+    const std::vector<std::string>& filters) {
+  if (filters.empty()) return specs;
+  const auto is_name = [&specs](const std::string& f) {
+    return std::any_of(specs.begin(), specs.end(),
+                       [&f](const ExperimentSpec& s) { return s.name == f; });
+  };
+  std::vector<ExperimentSpec> selected;
+  for (const auto& spec : specs)
+    for (const auto& f : filters)
+      if (is_name(f) ? spec.name == f
+                     : spec.name.find(f) != std::string::npos) {
+        selected.push_back(spec);
+        break;
+      }
+  return selected;
 }
 
 int HarnessMain(const std::vector<ExperimentSpec>& specs, int argc,
@@ -159,20 +181,11 @@ int HarnessMain(const std::vector<ExperimentSpec>& specs, int argc,
     return 0;
   }
 
-  std::vector<ExperimentSpec> selected;
-  if (opts.filters.empty()) {
-    selected = specs;
-  } else {
-    for (const auto& spec : specs)
-      for (const auto& f : opts.filters)
-        if (spec.name.find(f) != std::string::npos) {
-          selected.push_back(spec);
-          break;
-        }
-    if (selected.empty()) {
-      std::fprintf(stderr, "no experiment matches the given filters\n");
-      return 2;
-    }
+  const std::vector<ExperimentSpec> selected =
+      SelectExperiments(specs, opts.filters);
+  if (selected.empty()) {
+    std::fprintf(stderr, "no experiment matches the given filters\n");
+    return 2;
   }
 
   RunnerOptions runner = opts.runner;

@@ -1,4 +1,4 @@
-// Shared command line for every bench binary and bench/run_all.
+// The command line of bench/run_all, the one program that runs experiments.
 //
 //   --quick / --full    scale selection (default: the EXPERIMENTS.md scale)
 //   --seed N            base seed (default 42, the paper runs' seed)
@@ -14,14 +14,17 @@
 //   --flight-dump PATH  write flight-recorder dumps (end of run + faults)
 //   --list              list experiments and exit
 //   --help              usage plus each experiment's swept parameters
-//   NAME...             positional filters (substring match on experiment)
+//   NAME...             positional filters: an exact experiment name selects
+//                       that experiment alone, any other NAME selects every
+//                       experiment whose name contains it
 //
 // The telemetry flags enable instrumentation only for the files they
 // produce: with none given, runs are bit-identical to a build without the
 // telemetry layer.
 //
 // HarnessMain() is the whole driver: parse, filter, run, print tables,
-// write the JSONL, return the exit code (0 ok, 1 point failures, 2 usage).
+// write the JSONL, return the exit code (0 ok, 1 point failures, 2 usage or
+// no experiment selected).
 #pragma once
 
 #include <string>
@@ -51,6 +54,14 @@ struct CliOptions {
 CliOptions ParseCli(int argc, char** argv);
 
 void PrintHelp(const char* prog, const std::vector<ExperimentSpec>& specs);
+
+// The specs the positional filters select, in registration order. No
+// filters selects every spec. A filter equal to some spec's name selects
+// that spec alone (`fig_fabric` does not also pick `fig_fabric_failover`);
+// any other filter selects every spec whose name contains it (`fig17`).
+std::vector<ExperimentSpec> SelectExperiments(
+    const std::vector<ExperimentSpec>& specs,
+    const std::vector<std::string>& filters);
 
 int HarnessMain(const std::vector<ExperimentSpec>& specs, int argc,
                 char** argv);

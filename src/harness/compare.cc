@@ -8,10 +8,12 @@
 namespace orbit::harness {
 
 const std::vector<std::string>& DefaultCompareMetrics() {
+  // events_processed is the simulator's deterministic work count: runner
+  // noise cannot move it, so a drift in it is a change in what ran.
   static const std::vector<std::string> kDefault = {
       "rx_mrps",     "balancing_efficiency", "overflow_ratio",
       "read_p50_us", "read_p99_us",          "cache_mrps",
-      "sat_tx_mrps",
+      "sat_tx_mrps", "events_processed",
   };
   return kDefault;
 }

@@ -20,7 +20,8 @@ struct CompareOptions {
   double slack = 0.02;      // absolute floor under which drift is ignored
   // Metric keys to compare; empty selects the default robust set
   // (rx_mrps, balancing_efficiency, overflow_ratio, read_p50/p99_us,
-  // cache_mrps, sat_tx_mrps) intersected with what each record carries.
+  // cache_mrps, sat_tx_mrps, events_processed) intersected with what each
+  // record carries.
   std::vector<std::string> metrics;
   bool all_metrics = false;  // compare every numeric scalar instead
 };

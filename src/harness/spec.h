@@ -1,6 +1,6 @@
 // Declarative experiment descriptions.
 //
-// Instead of hand-rolling nested sweep loops, each bench binary declares an
+// Instead of hand-rolling nested sweep loops, each experiment declares an
 // ExperimentSpec: a base testbed configuration, the axes being swept (each
 // axis a named list of labeled values that mutate the config), repetitions
 // with derived seeds, and how one point runs (saturation search, fixed

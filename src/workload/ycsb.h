@@ -4,7 +4,8 @@
 // SoCC'10], and key-value systems are conventionally compared on the YCSB
 // core workloads. This module provides the classic mixes as ready-made
 // testbed parameterizations so downstream users can evaluate the schemes
-// on familiar ground (bench/ycsb_suite.cc drives them):
+// on familiar ground (the ycsb_suite experiment, `run_all ycsb_suite`,
+// drives them):
 //
 //   A  update heavy   50% reads / 50% writes, zipfian
 //   B  read mostly    95% reads /  5% writes, zipfian

@@ -175,6 +175,20 @@ TEST(CompareResults, MetricAbsentFromBothSidesIsASkip) {
   EXPECT_EQ(report.metrics_compared, 2u);  // rx_mrps + read_p99_us only
 }
 
+TEST(CompareResults, DefaultSetGatesSimulatorWork) {
+  // The simulator's event count is deterministic work: the default gate
+  // must catch a run that does 20% more of it with the same outcomes.
+  std::vector<MetricsRecord> a = {MakeRecord("e", "s", 0, 1.0)};
+  std::vector<MetricsRecord> b = a;
+  a[0].metrics.Set("events_processed", uint64_t{5'000'000});
+  b[0].metrics.Set("events_processed", uint64_t{6'000'000});
+  const CompareReport report = CompareResults(a, b, CompareOptions{});
+  EXPECT_FALSE(report.ok());
+  ASSERT_EQ(report.diffs.size(), 1u);
+  EXPECT_EQ(report.diffs[0].metric, "events_processed");
+  EXPECT_EQ(report.metrics_compared, 3u);
+}
+
 TEST(CompareResults, VacuousComparisonIsNotAPass) {
   const std::vector<MetricsRecord> a = {MakeRecord("e", "s", 0, 1.0)};
   CompareOptions options;

@@ -1,10 +1,15 @@
-// The figure harnesses promise the paper's §5.1 methodology; pin the
-// shared configuration to the paper's constants so a drive-by edit can't
-// silently change what the benches measure. Every bench binary selects
-// its scale through harness::ParseCli and builds its testbed from
-// harness::ScaledPaperConfig, so both are pinned here.
+// The experiments promise the paper's §5.1 methodology; pin the shared
+// configuration to the paper's constants so a drive-by edit can't
+// silently change what the benches measure. run_all selects its scale
+// through harness::ParseCli, its experiments through
+// harness::SelectExperiments, and builds each testbed from
+// harness::ScaledPaperConfig, so all three are pinned here.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "bench/experiments.h"
 #include "harness/cli.h"
 #include "harness/spec.h"
 
@@ -57,6 +62,32 @@ TEST(ParseCli, RecognizesQuickFlag) {
   const CliOptions opts = ParseCli(2, const_cast<char**>(argv));
   EXPECT_TRUE(opts.ok());
   EXPECT_EQ(opts.runner.scale, Scale::kQuick);
+}
+
+std::vector<std::string> Selected(const std::vector<std::string>& filters) {
+  std::vector<std::string> names;
+  for (const auto& spec :
+       SelectExperiments(benchexp::AllExperiments(), filters))
+    names.push_back(spec.name);
+  return names;
+}
+
+// `run_all NAME` runs exactly the experiment called NAME even when NAME is
+// a substring of another experiment's name; any other filter still
+// selects by substring, and the selection keeps registration order.
+TEST(SelectExperiments, ExactNameElseSubstring) {
+  using Names = std::vector<std::string>;
+  EXPECT_EQ(Selected({"fig_fabric"}), Names{"fig_fabric"});
+  EXPECT_EQ(Selected({"fig_fabric_failover"}), Names{"fig_fabric_failover"});
+  EXPECT_EQ(Selected({"fig17"}),
+            (Names{"fig17_item_size", "fig17_effective_size"}));
+  EXPECT_EQ(Selected({"ablation"}),
+            (Names{"ablation_cloning", "ablation_queue_depth",
+                   "ablation_write_policy", "ablation_recirc_bw"}));
+  EXPECT_EQ(Selected({"fig_fabric", "fig09"}),
+            (Names{"fig09_skewness", "fig_fabric"}));
+  EXPECT_TRUE(Selected({"no_such_experiment"}).empty());
+  EXPECT_EQ(Selected({}).size(), benchexp::AllExperiments().size());
 }
 
 // The three scales are ordered; full is the §5.1 paper scale;

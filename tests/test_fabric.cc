@@ -169,7 +169,7 @@ TEST(FabricTestbed, CrossRackWritesStayCoherent) {
 }
 
 TEST(FabricTestbed, SaturatedThroughputScalesWithRackCount) {
-  // The acceptance property behind bench/fig_fabric: doubling the racks
+  // The acceptance property behind `run_all fig_fabric`: doubling the racks
   // (servers, clients, and per-leaf caches scale along) must raise the
   // aggregate saturated throughput materially — each leaf keeps absorbing
   // its own rack's hot keys, so racks add capacity instead of contending.

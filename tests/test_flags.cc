@@ -1,6 +1,7 @@
-// harness::Flags — the one flag parser behind run_all, microbench, and the
-// tools. Parsing rules must match the historical hand-rolled loops, and
-// Usage() must reflect every registration so --help cannot go stale.
+// harness::Flags — the one flag parser behind run_all, swarm, perfbench,
+// examples/orbitbench and the tools. Parsing rules must match the
+// historical hand-rolled loops, and Usage() must reflect every
+// registration so --help cannot go stale.
 #include "harness/flags.h"
 
 #include <gtest/gtest.h>
