@@ -18,7 +18,6 @@ using harness::JsonValue;
 using harness::MetricsRecord;
 using harness::NumericAxis;
 using harness::ParamAxis;
-using harness::PaperBaseConfig;
 using harness::SchemeAxis;
 
 namespace {

@@ -1,18 +1,20 @@
 // Multi-rack deployment walkthrough (paper §3.9).
 //
-// Two racks behind a spine: each ToR runs OrbitCache for its own rack's
-// storage servers, so for any request path exactly one switch applies the
-// cache logic. A rack-1 client reads items from both racks; the printout
-// shows where each reply came from and what the extra spine hops cost.
+// Two racks behind a spine, assembled with fabric::FabricTopology as the
+// testbed assembles every run: each leaf (ToR) runs OrbitCache for its own
+// rack's storage servers, so for any request path exactly one switch
+// applies the cache logic. A rack-0 client reads items from both racks;
+// the printout shows where each reply came from and what the extra spine
+// hops cost.
 //
 //   ./build/examples/multi_rack
 #include <cstdio>
 #include <unordered_map>
 
 #include "apps/server.h"
+#include "fabric/topology.h"
 #include "nocache/program.h"
 #include "orbitcache/program.h"
-#include "rmt/switch.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
 
@@ -21,7 +23,7 @@ using namespace orbit;
 namespace {
 
 constexpr L4Port kPort = 5008;
-constexpr Addr kClientAddr = 1, kSrv1 = 101, kSrv2 = 201, kCtrl = 900;
+constexpr Addr kClientAddr = 1, kSrv0 = 101, kSrv1 = 201, kCtrl = 900;
 
 class EchoClient : public sim::Node {
  public:
@@ -48,57 +50,46 @@ class EchoClient : public sim::Node {
 int main() {
   sim::Simulator sim;
   sim::Network net(&sim);
-  rmt::SwitchDevice tor1(&sim, &net, "tor1", rmt::AsicConfig{});
-  rmt::SwitchDevice tor2(&sim, &net, "tor2", rmt::AsicConfig{});
-  rmt::SwitchDevice spine(&sim, &net, "spine", rmt::AsicConfig{});
+  fabric::TopologySpec spec;
+  spec.num_racks = 2;
+  spec.num_spines = 1;
+  fabric::FabricTopology topo(&sim, &net, spec);
   oc::OrbitConfig ocfg;
   ocfg.capacity = 8;
-  oc::OrbitProgram prog1(&tor1, ocfg), prog2(&tor2, ocfg);
+  oc::OrbitProgram prog0(&topo.leaf(0), ocfg), prog1(&topo.leaf(1), ocfg);
   nocache::ForwardProgram fwd;
-  tor1.SetProgram(&prog1);
-  tor2.SetProgram(&prog2);
-  spine.SetProgram(&fwd);
+  topo.leaf(0).SetProgram(&prog0);
+  topo.leaf(1).SetProgram(&prog1);
+  topo.spine(0).SetProgram(&fwd);
 
   EchoClient client(&sim);
   EchoClient ctrl(&sim);  // fetch-ack sink
-  app::ServerConfig s1cfg;
+  app::ServerConfig s0cfg;
+  s0cfg.addr = kSrv0;
+  s0cfg.srv_id = 0;
+  s0cfg.service_rate_rps = 0;
+  app::ServerNode srv0(&sim, &net, 0, s0cfg, [](const Key&) { return 512u; });
+  app::ServerConfig s1cfg = s0cfg;
   s1cfg.addr = kSrv1;
   s1cfg.srv_id = 1;
-  s1cfg.service_rate_rps = 0;
   app::ServerNode srv1(&sim, &net, 0, s1cfg, [](const Key&) { return 512u; });
-  app::ServerConfig s2cfg = s1cfg;
-  s2cfg.addr = kSrv2;
-  s2cfg.srv_id = 2;
-  app::ServerNode srv2(&sim, &net, 0, s2cfg, [](const Key&) { return 512u; });
 
-  auto c = net.Connect(&client, &tor1, sim::LinkConfig{});
-  auto a = net.Connect(&srv1, &tor1, sim::LinkConfig{});
-  auto b = net.Connect(&srv2, &tor2, sim::LinkConfig{});
-  auto u1 = net.Connect(&tor1, &spine, sim::LinkConfig{});
-  auto u2 = net.Connect(&tor2, &spine, sim::LinkConfig{});
-  auto k = net.Connect(&ctrl, &tor1, sim::LinkConfig{});
+  // AttachHost wires each access link and installs the host's route on
+  // every leaf and spine.
+  topo.AttachHost(&client, kClientAddr, 0, sim::LinkConfig{});
+  topo.AttachHost(&srv0, kSrv0, 0, sim::LinkConfig{});
+  topo.AttachHost(&srv1, kSrv1, 1, sim::LinkConfig{});
+  topo.AttachHost(&ctrl, kCtrl, 0, sim::LinkConfig{});
+  // Cache packets fork toward the client and the controller: through the
+  // access port on leaf 0, through the uplink on leaf 1.
+  for (Addr addr : {kClientAddr, kCtrl}) {
+    prog0.RegisterCloneTarget(addr, topo.LeafPortFor(0, addr));
+    prog1.RegisterCloneTarget(addr, topo.LeafPortFor(1, addr));
+  }
 
-  tor1.AddRoute(kClientAddr, c.port_b);
-  tor1.AddRoute(kSrv1, a.port_b);
-  tor1.AddRoute(kSrv2, u1.port_a);
-  tor1.AddRoute(kCtrl, k.port_b);
-  tor2.AddRoute(kSrv2, b.port_b);
-  tor2.AddRoute(kClientAddr, u2.port_a);
-  tor2.AddRoute(kSrv1, u2.port_a);
-  tor2.AddRoute(kCtrl, u2.port_a);
-  spine.AddRoute(kClientAddr, u1.port_b);
-  spine.AddRoute(kSrv1, u1.port_b);
-  spine.AddRoute(kCtrl, u1.port_b);
-  spine.AddRoute(kSrv2, u2.port_b);
-
-  prog1.RegisterCloneTarget(kClientAddr, c.port_b);
-  prog1.RegisterCloneTarget(kCtrl, k.port_b);
-  prog2.RegisterCloneTarget(kClientAddr, u2.port_a);
-  prog2.RegisterCloneTarget(kCtrl, u2.port_a);
-
-  const Key local_hot = "rack1-hot-000000";
-  const Key remote_hot = "rack2-hot-000000";
-  const Key remote_cold = "rack2-cold-00000";
+  const Key local_hot = "rack0-hot-000000";
+  const Key remote_hot = "rack1-hot-000000";
+  const Key remote_cold = "rack1-cold-00000";
 
   auto fetch = [&](oc::OrbitProgram& prog, const Key& key, Addr server) {
     prog.InsertEntry(HashKey128(key), 0);
@@ -122,21 +113,21 @@ int main() {
     sim.RunUntil(sim.now() + 300 * kMicrosecond);
   };
 
-  std::printf("caching '%s' at tor1 and '%s' at tor2…\n\n", local_hot.c_str(),
-              remote_hot.c_str());
-  fetch(prog1, local_hot, kSrv1);
-  fetch(prog2, remote_hot, kSrv2);
+  std::printf("caching '%s' at leaf0 and '%s' at leaf1…\n\n",
+              local_hot.c_str(), remote_hot.c_str());
+  fetch(prog0, local_hot, kSrv0);
+  fetch(prog1, remote_hot, kSrv1);
   sim.RunUntil(300 * kMicrosecond);
 
-  std::printf("reads from the rack-1 client:\n");
-  read(local_hot, 1, kSrv1);    // one hop: tor1 serves
-  read(remote_hot, 2, kSrv2);   // three hops: tor2 serves across the spine
-  read(remote_cold, 3, kSrv2);  // full path to the rack-2 server
-  read(local_hot, 4, kSrv1);
+  std::printf("reads from the rack-0 client:\n");
+  read(local_hot, 1, kSrv0);    // one hop: leaf0 serves
+  read(remote_hot, 2, kSrv1);   // three hops: leaf1 serves across the spine
+  read(remote_cold, 3, kSrv1);  // full path to the rack-1 server
+  read(local_hot, 4, kSrv0);
 
-  std::printf("\ncache packets in flight: tor1=%lld tor2=%lld (one per rack "
-              "— each ToR caches only its own rack's items)\n",
-              static_cast<long long>(tor1.stats().recirc_in_flight),
-              static_cast<long long>(tor2.stats().recirc_in_flight));
+  std::printf("\ncache packets in flight: leaf0=%lld leaf1=%lld (one per "
+              "rack — each ToR caches only its own rack's items)\n",
+              static_cast<long long>(topo.leaf(0).stats().recirc_in_flight),
+              static_cast<long long>(topo.leaf(1).stats().recirc_in_flight));
   return 0;
 }

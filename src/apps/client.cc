@@ -258,21 +258,19 @@ void ClientNode::HandleReply(const sim::Packet& pkt) {
     if (++pending.frags_received < msg.frag_total) return;
   }
 
-  if (config_.check_staleness) {
-    // Bounded tracking: keys beyond staleness_max_keys are not checked
-    // (the map would otherwise grow with every distinct key seen). Hot
-    // keys — the ones caching can serve stale — are always inside the cap.
-    auto lv = last_version_.find(pending.key);
-    if (lv == last_version_.end() &&
-        last_version_.size() < config_.staleness_max_keys) {
-      lv = last_version_.emplace(pending.key, 0).first;
-    }
-    if (lv != last_version_.end()) {
-      const uint64_t version = msg.value.version();
-      if (msg.op == Op::kReadRep && version > 0 && version < lv->second)
-        ++stats_.stale_reads;
-      if (version > lv->second) lv->second = version;
-    }
+  // Bounded tracking: keys beyond staleness_max_keys are not checked
+  // (the map would otherwise grow with every distinct key seen). Hot
+  // keys — the ones caching can serve stale — are always inside the cap.
+  auto lv = last_version_.find(pending.key);
+  if (lv == last_version_.end() &&
+      last_version_.size() < config_.staleness_max_keys) {
+    lv = last_version_.emplace(pending.key, 0).first;
+  }
+  if (lv != last_version_.end()) {
+    const uint64_t version = msg.value.version();
+    if (msg.op == Op::kReadRep && version > 0 && version < lv->second)
+      ++stats_.stale_reads;
+    if (version > lv->second) lv->second = version;
   }
 
   ++stats_.rx_replies;

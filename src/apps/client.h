@@ -72,10 +72,9 @@ struct ClientConfig {
   SimTime request_timeout = 20 * kMillisecond;
   int max_retries = 0;  // 0 = timeouts only, no retransmission
   uint64_t seed = 1;
-  bool check_staleness = true;
-  // Cap on the per-key version map behind check_staleness. Long runs over
-  // huge keyspaces would otherwise grow it without bound; keys past the
-  // cap are simply not staleness-tracked (detection stays exact for the
+  // Cap on the per-key version map behind the stale-read check. Long runs
+  // over huge keyspaces would otherwise grow it without bound; keys past
+  // the cap are simply not staleness-tracked (detection stays exact for the
   // first staleness_max_keys distinct keys, which covers every hot key).
   size_t staleness_max_keys = size_t{1} << 20;
 };

@@ -11,17 +11,22 @@
 
 namespace orbit::app {
 
+namespace {
+constexpr SimTime kBaseProcessing = 2 * kMicrosecond;  // when unlimited
+}  // namespace
+
 ServerNode::ServerNode(sim::Simulator* sim, sim::Network* net, int port,
                        const ServerConfig& config, ValueSizeFn value_size)
     : sim_(sim),
       net_(net),
       port_(port),
       config_(config),
-      value_size_(std::move(value_size)),
-      top_k_(config.report_k > 0 ? config.report_k : 1, 5, 2048,
-             0x746f706bull + config.srv_id) {
+      value_size_(std::move(value_size)) {
   ORBIT_CHECK(sim != nullptr && net != nullptr);
   ORBIT_CHECK(value_size_ != nullptr);
+  if (config.controller_addr != kInvalidAddr)
+    top_k_.emplace(config.report_k > 0 ? config.report_k : 1, 5, 2048,
+                   0x746f706bull + config.srv_id);
 }
 
 void ServerNode::Start() {
@@ -76,7 +81,7 @@ void ServerNode::OnPacket(sim::PacketPtr pkt, int /*port*/) {
       config_.service_rate_rps > 0
           ? static_cast<SimTime>(static_cast<double>(kSecond) /
                                  config_.service_rate_rps)
-          : config_.base_processing;
+          : kBaseProcessing;
   const SimTime start = std::max(busy_until_, sim_->now());
   const SimTime queue_wait = start - sim_->now();
   busy_until_ = start + service;
@@ -128,7 +133,7 @@ void ServerNode::Process(sim::PacketPtr pkt) {
   sim::MarkEnd(*pkt, sim::PacketEnd::kConsumed);
   ++stats_.requests;
   const proto::Message& req = pkt->msg;
-  if (config_.controller_addr != kInvalidAddr) top_k_.Update(req.key);
+  if (top_k_) top_k_->Update(req.key);
 
   switch (req.op) {
     case Op::kReadReq:
@@ -238,7 +243,7 @@ void ServerNode::Reply(const sim::Packet& req) {
 }
 
 void ServerNode::SendReport() {
-  for (const auto& entry : top_k_.Snapshot()) {
+  for (const auto& entry : top_k_->Snapshot()) {
     auto pkt = sim::NewPacket(config_.addr, config_.controller_addr,
                               config_.ctrl_port, config_.ctrl_port);
     pkt->msg.op = proto::Op::kTopKReport;
@@ -249,7 +254,7 @@ void ServerNode::SendReport() {
     pkt->tcp = true;  // reports use TCP in the paper (§3.9)
     net_->Send(this, port_, std::move(pkt));
   }
-  top_k_.Reset();
+  top_k_->Reset();
   sim_->AfterTimer(config_.report_period, this, /*arg=*/0);
 }
 

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 
 #include "common/types.h"
@@ -39,9 +40,8 @@ struct ServerConfig {
   L4Port orbit_port = 5008;
 
   // Request service rate (the paper's Rx throughput limit). 0 disables the
-  // limit; a fixed per-request processing time still applies.
+  // limit; a fixed 2-microsecond processing time per request still applies.
   double service_rate_rps = 100'000;
-  SimTime base_processing = 2 * kMicrosecond;  // when unlimited
   size_t rx_queue_limit = 256;  // bounded socket buffer (max ~2.6ms sojourn)
 
   // §3.10 multi-packet support: fragment values that exceed one packet.
@@ -119,7 +119,9 @@ class ServerNode : public sim::Node, public sim::TimerHandler {
   ValueSizeFn value_size_;
 
   kv::KvStore store_;
-  wl::TopKTracker top_k_;
+  // Built only when the server reports to a controller: a static run never
+  // reads it, and its 5 x 2048 sketch is 80 KB per server.
+  std::optional<wl::TopKTracker> top_k_;
 
   SimTime busy_until_ = 0;
   size_t queue_depth_ = 0;

@@ -44,7 +44,6 @@ struct ControllerConfig {
   SimTime snapshot_period = 0;
   SimTime fetch_timeout = 2 * kMillisecond;
   int max_fetch_attempts = 5;
-  SimTime cpu_delay = 10 * kMicrosecond;  // PCIe + CPU turnaround
 
   L4Port orbit_port = 5008;
 };

@@ -135,17 +135,6 @@ void FailoverManager::RecomputeRoutes() {
   blackholed_routes_ = blackholed;
 }
 
-uint64_t FailoverManager::blackholed_packets() const {
-  uint64_t total = 0;
-  for (int r = 0; r < topo_->num_racks(); ++r) {
-    for (int s = 0; s < topo_->num_spines(); ++s) {
-      const sim::Link* link = topo_->uplink(r, s);
-      total += link->stats(0).down_drops + link->stats(1).down_drops;
-    }
-  }
-  return total;
-}
-
 void FailoverManager::RegisterTelemetry(telemetry::Registry* registry) {
   if (registry == nullptr) return;
   const std::string who = "FailoverManager::RegisterTelemetry";
@@ -160,7 +149,7 @@ void FailoverManager::RegisterTelemetry(telemetry::Registry* registry) {
   registry->AddCounter("fabric.failover.reroutes",
                        [this] { return stats_.reroutes; }, who);
   registry->AddCounter("fabric.failover.blackholed_packets",
-                       [this] { return blackholed_packets(); }, who);
+                       [this] { return topo_->blackholed_packets(); }, who);
   registry->AddGauge("fabric.failover.blackholed_routes",
                      [this] { return blackholed_routes_; }, who);
 }

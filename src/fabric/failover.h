@@ -74,13 +74,6 @@ class FailoverManager {
   };
   const Stats& stats() const { return stats_; }
 
-  // Routes currently pinned to a dead uplink because no live spine
-  // connects the two racks.
-  uint64_t blackholed_routes() const { return blackholed_routes_; }
-  // Packets discarded at down uplinks (both directions, all uplinks) —
-  // the data actually lost to blackholes, read from the link stats.
-  uint64_t blackholed_packets() const;
-
   // Counters under "fabric.failover.*"; may be null.
   void RegisterTelemetry(telemetry::Registry* registry);
   // Every liveness transition is noted and triggers a post-mortem dump.

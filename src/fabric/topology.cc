@@ -81,6 +81,14 @@ sim::Network::Attachment FabricTopology::AttachHost(
   return at;
 }
 
+uint64_t FabricTopology::blackholed_packets() const {
+  uint64_t total = 0;
+  for (const auto& rack : uplinks_)
+    for (const sim::Link* link : rack)
+      total += link->stats(0).down_drops + link->stats(1).down_drops;
+  return total;
+}
+
 int FabricTopology::LeafPortFor(int rack, Addr addr) const {
   const auto it = hosts_.find(addr);
   ORBIT_CHECK_MSG(it != hosts_.end(),
@@ -88,11 +96,6 @@ int FabricTopology::LeafPortFor(int rack, Addr addr) const {
   if (it->second.rack == rack) return it->second.leaf_port;
   return leaf_uplink_port_[static_cast<size_t>(rack)]
                           [static_cast<size_t>(SpineFor(addr))];
-}
-
-int FabricTopology::RackOf(Addr addr) const {
-  const auto it = hosts_.find(addr);
-  return it == hosts_.end() ? -1 : it->second.rack;
 }
 
 }  // namespace orbit::fabric

@@ -63,9 +63,6 @@ class FabricTopology {
   // Used to register PRE clone targets per leaf. `addr` must be attached.
   int LeafPortFor(int rack, Addr addr) const;
 
-  // Rack the address was attached to (-1 if unknown).
-  int RackOf(Addr addr) const;
-
   // The (rack, spine) uplink and its port numbers — fault injection brings
   // links down, the failover manager probes them and rewires next-hops.
   sim::Link* uplink(int rack, int spine) const {
@@ -75,6 +72,9 @@ class FabricTopology {
     return leaf_uplink_port_[static_cast<size_t>(rack)]
                             [static_cast<size_t>(spine)];
   }
+  // Packets discarded at down uplinks (both directions, all uplinks): the
+  // data lost to blackholes, spine crashes and partitions.
+  uint64_t blackholed_packets() const;
 
   // Visits every attached host as (addr, owning rack), in address order —
   // deterministic, so route recomputation is reproducible.

@@ -376,4 +376,29 @@ bool ParseJson(std::string_view text, JsonValue* out, std::string* error) {
   return Parser(text, error).ParseDocument(out);
 }
 
+bool ParseJsonLines(
+    std::string_view text,
+    const std::function<bool(JsonValue, std::string*)>& on_line,
+    std::string* error) {
+  size_t line_no = 0;
+  size_t pos = 0;
+  while (pos < text.size()) {
+    size_t end = text.find('\n', pos);
+    if (end == std::string_view::npos) end = text.size();
+    const std::string_view line = text.substr(pos, end - pos);
+    pos = end + 1;
+    ++line_no;
+    if (line.find_first_not_of(" \t\r") == std::string_view::npos) continue;
+    JsonValue value;
+    std::string line_error;
+    if (!ParseJson(line, &value, &line_error) ||
+        !on_line(std::move(value), &line_error)) {
+      if (error != nullptr)
+        *error = "line " + std::to_string(line_no) + ": " + line_error;
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace orbit::harness

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -99,5 +100,14 @@ void AppendJsonNumber(double v, std::string* out);
 // offset) on malformed input; trailing garbage after the document is an
 // error too.
 bool ParseJson(std::string_view text, JsonValue* out, std::string* error);
+
+// Parses JSON-lines text, handing each non-blank line's document to
+// `on_line`, which returns false and fills its error to reject it. Returns
+// false on the first line that fails to parse or is rejected, with
+// "line N: <error>" in *error.
+bool ParseJsonLines(
+    std::string_view text,
+    const std::function<bool(JsonValue, std::string*)>& on_line,
+    std::string* error);
 
 }  // namespace orbit::harness

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -84,48 +85,35 @@ std::string DumpJsonl(const std::vector<MetricsRecord>& records) {
 
 bool ParseJsonl(std::string_view text, std::vector<MetricsRecord>* out,
                 std::string* error) {
-  size_t line_no = 0;
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t end = text.find('\n', pos);
-    if (end == std::string_view::npos) end = text.size();
-    const std::string_view line = text.substr(pos, end - pos);
-    pos = end + 1;
-    ++line_no;
-    if (line.find_first_not_of(" \t\r") == std::string_view::npos) continue;
-    JsonValue json;
-    std::string parse_error;
-    if (!ParseJson(line, &json, &parse_error)) {
-      if (error != nullptr)
-        *error = "line " + std::to_string(line_no) + ": " + parse_error;
-      return false;
-    }
-    MetricsRecord record;
-    if (!MetricsRecord::FromJson(json, &record, &parse_error)) {
-      if (error != nullptr)
-        *error = "line " + std::to_string(line_no) + ": " + parse_error;
-      return false;
-    }
-    out->push_back(std::move(record));
+  return ParseJsonLines(
+      text,
+      [out](JsonValue json, std::string* line_error) {
+        MetricsRecord record;
+        if (!MetricsRecord::FromJson(json, &record, line_error)) return false;
+        out->push_back(std::move(record));
+        return true;
+      },
+      error);
+}
+
+bool WriteTextFile(const std::string& path, const std::string& contents,
+                   std::string* error) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) {
+    if (error != nullptr) *error = "cannot open " + path + " for writing";
+    return false;
   }
-  return true;
+  const size_t written = std::fwrite(contents.data(), 1, contents.size(), f);
+  const bool closed = std::fclose(f) == 0;
+  const bool ok = written == contents.size() && closed;
+  if (!ok && error != nullptr) *error = "short write to " + path;
+  return ok;
 }
 
 bool WriteJsonlFile(const std::string& path,
                     const std::vector<MetricsRecord>& records,
                     std::string* error) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) {
-    if (error != nullptr) *error = "cannot open " + path + " for writing";
-    return false;
-  }
-  const std::string text = DumpJsonl(records);
-  f.write(text.data(), static_cast<std::streamsize>(text.size()));
-  if (!f) {
-    if (error != nullptr) *error = "write to " + path + " failed";
-    return false;
-  }
-  return true;
+  return WriteTextFile(path, DumpJsonl(records), error);
 }
 
 bool ReadJsonlFile(const std::string& path, std::vector<MetricsRecord>* out,

@@ -49,6 +49,9 @@ bool ParseJsonl(std::string_view text, std::vector<MetricsRecord>* out,
                 std::string* error);
 
 // File convenience wrappers (return false and fill *error on I/O failure).
+// WriteTextFile writes `contents` to `path` byte-for-byte.
+bool WriteTextFile(const std::string& path, const std::string& contents,
+                   std::string* error);
 bool WriteJsonlFile(const std::string& path,
                     const std::vector<MetricsRecord>& records,
                     std::string* error);

@@ -30,33 +30,6 @@ ScaleProfile PaperScaleProfile(Scale scale) {
   return {};
 }
 
-testbed::TestbedConfig PaperBaseConfig() {
-  testbed::TestbedConfig cfg;
-  cfg.topo.num_clients = 4;
-  cfg.topo.num_servers = 32;
-  cfg.topo.server_rate_rps = 100'000;
-  cfg.topo.client_rate_rps = 8'000'000;
-  cfg.workload.zipf_theta = 0.99;
-  cfg.workload.value_dist = wl::ValueDist::PaperDefault();
-  cfg.cache.orbit_cache_size = 128;
-  cfg.cache.netcache_size = 10'000;
-  cfg.seed = 42;
-  const ScaleProfile full = PaperScaleProfile(Scale::kFull);
-  cfg.workload.num_keys = full.num_keys;
-  cfg.warmup = full.warmup;
-  cfg.duration = full.duration;
-  return cfg;
-}
-
-testbed::TestbedConfig ScaledPaperConfig(Scale scale) {
-  testbed::TestbedConfig cfg = PaperBaseConfig();
-  const ScaleProfile p = PaperScaleProfile(scale);
-  cfg.workload.num_keys = p.num_keys;
-  cfg.warmup = p.warmup;
-  cfg.duration = p.duration;
-  return cfg;
-}
-
 ParamAxis SchemeAxis(const std::vector<testbed::Scheme>& schemes) {
   ParamAxis axis;
   axis.name = "scheme";

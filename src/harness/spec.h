@@ -46,12 +46,6 @@ struct ScaleProfile {
 // kQuick is the CI smoke scale (100K keys, 20/60 ms).
 ScaleProfile PaperScaleProfile(Scale scale);
 
-// The §5.1 testbed at paper scale (Scale::kFull numbers).
-testbed::TestbedConfig PaperBaseConfig();
-
-// PaperBaseConfig() with PaperScaleProfile(scale) applied.
-testbed::TestbedConfig ScaledPaperConfig(Scale scale);
-
 // ---- sweep axes ---------------------------------------------------------
 
 struct Param {

@@ -1,7 +1,5 @@
 #include "harness/telemetry_io.h"
 
-#include <cstdio>
-
 #include "common/check.h"
 #include "proto/message.h"
 #include "telemetry/export.h"
@@ -151,39 +149,17 @@ std::string FlightText(const std::vector<MetricsRecord>& records,
 bool ParseCountersJsonl(std::string_view text, std::vector<JsonValue>* out,
                         std::string* error) {
   out->clear();
-  size_t line_no = 0;
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t end = text.find('\n', pos);
-    if (end == std::string_view::npos) end = text.size();
-    const std::string_view line = text.substr(pos, end - pos);
-    pos = end + 1;
-    ++line_no;
-    if (line.find_first_not_of(" \t\r") == std::string_view::npos) continue;
-    JsonValue value;
-    std::string parse_error;
-    if (!ParseJson(line, &value, &parse_error) || !value.is_object()) {
-      if (error != nullptr)
-        *error = "line " + std::to_string(line_no) + ": " +
-                 (parse_error.empty() ? "not a JSON object" : parse_error);
-      return false;
-    }
-    out->push_back(std::move(value));
-  }
-  return true;
-}
-
-bool WriteTextFile(const std::string& path, const std::string& contents,
-                   std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    if (error != nullptr) *error = "cannot open " + path + " for writing";
-    return false;
-  }
-  const size_t written = std::fwrite(contents.data(), 1, contents.size(), f);
-  const bool ok = written == contents.size() && std::fclose(f) == 0;
-  if (!ok && error != nullptr) *error = "short write to " + path;
-  return ok;
+  return ParseJsonLines(
+      text,
+      [out](JsonValue value, std::string* line_error) {
+        if (!value.is_object()) {
+          *line_error = "not a JSON object";
+          return false;
+        }
+        out->push_back(std::move(value));
+        return true;
+      },
+      error);
 }
 
 }  // namespace orbit::harness

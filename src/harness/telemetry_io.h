@@ -69,9 +69,4 @@ std::string FlightText(const std::vector<MetricsRecord>& records,
 bool ParseCountersJsonl(std::string_view text, std::vector<JsonValue>* out,
                         std::string* error);
 
-// Writes `contents` to `path` byte-for-byte. Returns false and fills
-// *error on I/O failure.
-bool WriteTextFile(const std::string& path, const std::string& contents,
-                   std::string* error);
-
 }  // namespace orbit::harness

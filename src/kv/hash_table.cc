@@ -13,26 +13,6 @@ HashTable::HashTable(size_t initial_buckets) {
 
 HashTable::~HashTable() { FreeAll(); }
 
-HashTable::HashTable(HashTable&& other) noexcept
-    : buckets_(std::move(other.buckets_)),
-      size_(other.size_),
-      probe_stats_(other.probe_stats_) {
-  other.buckets_.assign(1, nullptr);
-  other.size_ = 0;
-}
-
-HashTable& HashTable::operator=(HashTable&& other) noexcept {
-  if (this != &other) {
-    FreeAll();
-    buckets_ = std::move(other.buckets_);
-    size_ = other.size_;
-    probe_stats_ = other.probe_stats_;
-    other.buckets_.assign(1, nullptr);
-    other.size_ = 0;
-  }
-  return *this;
-}
-
 void HashTable::FreeAll() {
   for (Node*& head : buckets_) {
     Node* n = head;
@@ -74,22 +54,6 @@ Value* HashTable::GetMutable(std::string_view key) {
     if (n->hash == h && n->key == key) return &n->value;
   }
   return nullptr;
-}
-
-bool HashTable::Erase(std::string_view key) {
-  const uint64_t h = Hash64(key);
-  Node** link = BucketFor(h);
-  while (*link != nullptr) {
-    Node* n = *link;
-    if (n->hash == h && n->key == key) {
-      *link = n->next;
-      delete n;
-      --size_;
-      return true;
-    }
-    link = &n->next;
-  }
-  return false;
 }
 
 void HashTable::MaybeGrow() {

@@ -28,15 +28,12 @@ class HashTable {
 
   HashTable(const HashTable&) = delete;
   HashTable& operator=(const HashTable&) = delete;
-  HashTable(HashTable&&) noexcept;
-  HashTable& operator=(HashTable&&) noexcept;
 
   // Inserts or overwrites. Returns true when the key was newly inserted.
   bool Put(std::string_view key, Value value);
   // Returns nullptr when absent. The pointer is invalidated by mutation.
   const Value* Get(std::string_view key) const;
   Value* GetMutable(std::string_view key);
-  bool Erase(std::string_view key);
 
   size_t size() const { return size_; }
   size_t bucket_count() const { return buckets_.size(); }

@@ -38,9 +38,4 @@ uint64_t KvStore::PutVersioned(std::string_view key, uint32_t size,
   return version;
 }
 
-bool KvStore::Erase(std::string_view key) {
-  ++stats_.erases;
-  return table_.Erase(key);
-}
-
 }  // namespace orbit::kv

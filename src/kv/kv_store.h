@@ -19,7 +19,6 @@ class KvStore {
     uint64_t gets = 0;
     uint64_t hits = 0;
     uint64_t puts = 0;
-    uint64_t erases = 0;
   };
 
   // Reads a value; nullopt when absent.
@@ -32,8 +31,6 @@ class KvStore {
   // Write-back flush support: applies an externally versioned value but
   // never regresses an existing newer version. Returns the stored version.
   uint64_t PutVersioned(std::string_view key, uint32_t size, uint64_t version);
-
-  bool Erase(std::string_view key);
 
   size_t size() const { return table_.size(); }
   const Stats& stats() const { return stats_; }

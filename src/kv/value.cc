@@ -1,6 +1,5 @@
 #include "kv/value.h"
 
-#include "common/bytes.h"
 #include "common/check.h"
 #include "common/hash.h"
 
@@ -16,10 +15,10 @@ Value Value::Synthetic(uint32_t size, uint64_t version) {
 Value Value::FromBytes(std::string bytes) {
   Value v;
   v.size_ = static_cast<uint32_t>(bytes.size());
-  if (bytes.size() >= 8) {
-    ByteReader r(reinterpret_cast<const uint8_t*>(bytes.data()), 8);
-    v.version_ = r.u64();
-  }
+  // The version prefix is big-endian, like the P4 header fields.
+  if (bytes.size() >= 8)
+    for (int i = 0; i < 8; ++i)
+      v.version_ = v.version_ << 8 | static_cast<uint8_t>(bytes[i]);
   v.bytes_ = std::make_shared<const std::string>(std::move(bytes));
   return v;
 }
@@ -28,9 +27,9 @@ std::string Value::Materialize(std::string_view key) const {
   if (bytes_) return *bytes_;
   std::string out;
   out.reserve(size_);
-  ByteWriter w;
-  if (size_ >= 8) w.u64(version_);
-  out.assign(w.data().begin(), w.data().end());
+  if (size_ >= 8)
+    for (int shift = 56; shift >= 0; shift -= 8)
+      out.push_back(static_cast<char>(version_ >> shift));
   uint64_t state = Hash64(key) ^ (version_ * 0x9e3779b97f4a7c15ull);
   while (out.size() < size_) {
     state = Mix64(state);

@@ -3,8 +3,8 @@
 // The paper's workloads use up to 10M keys with values of hundreds of bytes
 // to ~1.4KB. Materializing every value would cost gigabytes, so within the
 // simulator a Value is a small descriptor — (size, version) — whose bytes
-// are synthesized deterministically on demand. The wire codec and the
-// integration tests materialize real bytes; the simulation hot path only
+// are synthesized deterministically on demand. NetCache's value registers
+// and the tests materialize real bytes; the simulation hot path only
 // moves descriptors, which also mirrors how the Tofino PRE clones packets
 // (copy the descriptor, share the data).
 #pragma once
@@ -32,10 +32,10 @@ class Value {
   uint64_t version() const { return version_; }
   bool is_synthetic() const { return bytes_ == nullptr; }
 
-  // Produces the full value content. Synthetic values embed the version in
-  // the first 8 bytes (when size allows) followed by bytes pseudo-randomly
-  // derived from the key, so a round trip through the codec preserves the
-  // version and is content-checkable.
+  // Produces the full value content. Synthetic values embed the version,
+  // big-endian, in the first 8 bytes (when size allows) followed by bytes
+  // pseudo-randomly derived from the key, so a round trip through
+  // FromBytes preserves the version and is content-checkable.
   std::string Materialize(std::string_view key) const;
 
   // True when two values would materialize identically for the same key.

@@ -20,7 +20,7 @@ NetController::NetController(sim::Simulator* sim, sim::Network* net,
 
 bool NetController::Admit(const Key& key) {
   if (blacklist_.count(key) > 0) return false;
-  if (key.size() > program_->config().max_key_bytes) {
+  if (key.size() > rmt::kMaxMatchKeyBytes) {
     // Hardware cannot match this key; NetCache must skip it.
     ++stats_.skipped_wide_keys;
     return false;

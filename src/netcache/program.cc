@@ -10,19 +10,25 @@ namespace orbit::nc {
 
 using rmt::IngressResult;
 
+namespace {
+// Count-min sketch geometry: 4 rows of 32-bit counters in hardware.
+constexpr uint32_t kSketchRows = 4;
+constexpr uint32_t kSketchWidth = 8192;
+}  // namespace
+
 NetProgram::NetProgram(rmt::SwitchDevice* device, const NetConfig& config)
     : device_(device),
       config_(config),
       lookup_(&device->resources(), "nc_lookup", /*stage=*/0, config.capacity,
-              config.max_key_bytes, /*entry_bytes=*/4),
+              rmt::kMaxMatchKeyBytes, /*entry_bytes=*/4),
       valid_(&device->resources(), "nc_valid", /*stage=*/1, config.capacity),
       wepoch_(&device->resources(), "nc_wepoch", /*stage=*/1, config.capacity),
       vlen_(&device->resources(), "nc_vlen", /*stage=*/1, config.capacity),
       popularity_(&device->resources(), "nc_popularity", /*stage=*/1,
                   config.capacity),
-      sketch_(config.sketch_rows, config.sketch_width) {
+      sketch_(kSketchRows, kSketchWidth) {
   ORBIT_CHECK(device != nullptr);
-  ORBIT_CHECK_MSG(config.stage_value_bytes <=
+  ORBIT_CHECK_MSG(kStageValueBytes <=
                       device->resources().config().alu_bytes_per_stage,
                   "per-stage value bytes exceed the ALU limit");
   ORBIT_CHECK_MSG(2 + config.value_stages <=
@@ -46,13 +52,12 @@ NetProgram::NetProgram(rmt::SwitchDevice* device, const NetConfig& config)
                      (config.recirc_read_max_bytes - bytes_per_pass());
     device->resources().Declare(ext);
   }
-  // Count-min sketch accounting (4 rows of 32-bit counters in hardware).
+  // Count-min sketch accounting.
   rmt::ResourceEntry cm;
   cm.name = "nc_countmin";
   cm.stage = 2 + config.value_stages;
-  cm.sram_bytes = static_cast<uint64_t>(config.sketch_rows) *
-                  config.sketch_width * 4;
-  cm.alus = static_cast<int>(config.sketch_rows);
+  cm.sram_bytes = static_cast<uint64_t>(kSketchRows) * kSketchWidth * 4;
+  cm.alus = static_cast<int>(kSketchRows);
   device->resources().Declare(cm);
   // L3 forwarding accounting.
   rmt::ResourceEntry l3;
@@ -133,10 +138,10 @@ void NetProgram::StoreValue(uint32_t idx, const std::string& bytes) {
   const size_t first_pass = std::min<size_t>(bytes.size(), bytes_per_pass());
   for (size_t s = 0; s < value_words_.size(); ++s) {
     uint64_t word = 0;
-    const size_t off = s * config_.stage_value_bytes;
+    const size_t off = s * kStageValueBytes;
     if (off < first_pass) {
       const size_t n =
-          std::min<size_t>(config_.stage_value_bytes, first_pass - off);
+          std::min<size_t>(kStageValueBytes, first_pass - off);
       std::memcpy(&word, bytes.data() + off, n);
     }
     value_words_[s]->at(idx) = word;
@@ -149,11 +154,11 @@ std::string NetProgram::LoadValue(uint32_t idx) const {
   const size_t len = vlen_.at(idx);
   const size_t first_pass = std::min<size_t>(len, bytes_per_pass());
   std::string bytes(first_pass, '\0');
-  for (size_t s = 0; s * config_.stage_value_bytes < first_pass; ++s) {
+  for (size_t s = 0; s * kStageValueBytes < first_pass; ++s) {
     const uint64_t word = value_words_[s]->at(idx);
-    const size_t off = s * config_.stage_value_bytes;
+    const size_t off = s * kStageValueBytes;
     const size_t n =
-        std::min<size_t>(config_.stage_value_bytes, first_pass - off);
+        std::min<size_t>(kStageValueBytes, first_pass - off);
     std::memcpy(bytes.data() + off, &word, n);
   }
   if (config_.recirc_read_mode) bytes += extended_values_[idx];

@@ -30,15 +30,21 @@
 
 namespace orbit::nc {
 
+// NetCache's item limits, read by the program, its controller and
+// testbed::NetCacheCanCache. A key may be at most rmt::kMaxMatchKeyBytes
+// wide; a value is striped as kStageValueBytes words across value_stages
+// stages, kMaxValueBytes with the default stage count.
+inline constexpr int kValueStages = 8;
+inline constexpr uint32_t kStageValueBytes = 8;  // ALU-accessible per stage
+inline constexpr uint32_t kMaxValueBytes = kValueStages * kStageValueBytes;
+// The recirc-read strawman's value ceiling (see NetConfig).
+inline constexpr uint32_t kRecircReadMaxBytes = 1024;
+
 struct NetConfig {
   size_t capacity = 10000;
-  uint32_t max_key_bytes = 16;   // hardware match-key width
-  int value_stages = 8;          // stages devoted to value words
-  uint32_t stage_value_bytes = 8;  // ALU-accessible bytes per stage
+  int value_stages = kValueStages;  // stages devoted to value words
   L4Port orbit_port = 5008;
 
-  uint32_t sketch_rows = 4;
-  uint32_t sketch_width = 8192;
   uint64_t hot_threshold = 64;  // sketch estimate that triggers a report
 
   // The §2.2 strawman OrbitCache argues against: read values larger than
@@ -48,7 +54,7 @@ struct NetConfig {
   // per-request recirculation load that caps throughput (the rationale
   // bench measures the ceiling).
   bool recirc_read_mode = false;
-  uint32_t recirc_read_max_bytes = 1024;
+  uint32_t recirc_read_max_bytes = kRecircReadMaxBytes;
 };
 
 class NetProgram : public rmt::SwitchProgram {
@@ -63,8 +69,7 @@ class NetProgram : public rmt::SwitchProgram {
   // ---- control plane ------------------------------------------------------
   // Bytes one pipeline pass can read from the value registers.
   uint32_t bytes_per_pass() const {
-    return static_cast<uint32_t>(config_.value_stages) *
-           config_.stage_value_bytes;
+    return static_cast<uint32_t>(config_.value_stages) * kStageValueBytes;
   }
   // Largest storable value: one pass normally; the recirc-read strawman
   // stretches it by spending extra passes.

@@ -6,6 +6,10 @@
 
 namespace orbit::oc {
 
+namespace {
+constexpr SimTime kCpuDelay = 10 * kMicrosecond;  // PCIe + CPU turnaround
+}  // namespace
+
 Controller::Controller(sim::Simulator* sim, sim::Network* net,
                        OrbitProgram* program,
                        const kv::Partitioner* partitioner,
@@ -55,7 +59,7 @@ void Controller::RequestRefetch(const Key& key, const Hash128& hkey,
                                 Addr server) {
   // Scheduled after the CPU turnaround; retries ride the normal timeout
   // machinery.
-  sim_->After(config_.cpu_delay, [this, key, hkey, server] {
+  sim_->After(kCpuDelay, [this, key, hkey, server] {
     if (!IsCached(key)) return;  // evicted meanwhile
     SendFetch(key, hkey, server);
   });

@@ -1,6 +1,6 @@
 // Exact-match match-action tables with hardware width limits.
 //
-// The match key occupies at most the ASIC's `max_match_key_bytes` (16B on
+// The match key occupies at most the ASIC's `kMaxMatchKeyBytes` (16B on
 // Tofino-1-class hardware) — the reason NetCache cannot index items by
 // keys longer than 16 bytes, and the reason OrbitCache matches on a 16-byte
 // key *hash* instead (paper §3.6). Inserting an over-wide key throws at

@@ -12,10 +12,10 @@ void Resources::Declare(const ResourceEntry& entry) {
   ORBIT_CHECK_MSG(entry.stage >= 0 && entry.stage < config_.num_stages,
                   entry.name << ": stage " << entry.stage << " outside 0.."
                              << config_.num_stages - 1);
-  ORBIT_CHECK_MSG(entry.match_key_bytes <= config_.max_match_key_bytes,
+  ORBIT_CHECK_MSG(entry.match_key_bytes <= kMaxMatchKeyBytes,
                   entry.name << ": match key " << entry.match_key_bytes
                              << "B exceeds ASIC limit of "
-                             << config_.max_match_key_bytes << "B");
+                             << kMaxMatchKeyBytes << "B");
   uint64_t stage_sram = entry.sram_bytes;
   int stage_alus = entry.alus;
   int stage_tables = entry.tables;

@@ -16,21 +16,19 @@
 
 namespace orbit::rmt {
 
+// Match-key width limit (paper §2.1). NetCache matches on the item key
+// itself, so this is also its key-size limit.
+inline constexpr uint32_t kMaxMatchKeyBytes = 16;
+
 struct AsicConfig {
   // Tofino-1-class defaults.
   int num_stages = 12;
-  uint32_t max_match_key_bytes = 16;   // match-key width limit (paper §2.1)
   uint32_t alu_bytes_per_stage = 8;    // k: register bytes one stage can touch
   uint32_t sram_bytes_per_stage = 1280 * 1024;
   int alus_per_stage = 4;
   int tables_per_stage = 4;
 
-  double pipeline_latency_ns = 400;    // ingress+egress traversal
-  double packet_slot_ns = 1.25;        // ~800 Mpps per pipe
-  double port_rate_gbps = 100.0;       // front ports
   double recirc_rate_gbps = 100.0;     // single internal recirculation port
-  double recirc_loop_ns = 100.0;       // loopback turnaround
-  uint32_t recirc_queue_bytes = 2 * 1024 * 1024;
 };
 
 // One declared data-plane object (table or register array).

@@ -11,6 +11,13 @@
 namespace orbit::rmt {
 
 namespace {
+
+// Tofino-1-class timing (DESIGN.md §5).
+constexpr double kPipelineLatencyNs = 400;  // ingress+egress traversal
+constexpr double kPacketSlotNs = 1.25;      // ~800 Mpps per pipe
+constexpr double kRecircLoopNs = 100.0;     // loopback turnaround
+constexpr uint32_t kRecircQueueBytes = 2 * 1024 * 1024;
+
 const char* ActionName(IngressResult::Action action) {
   using Action = IngressResult::Action;
   switch (action) {
@@ -156,12 +163,11 @@ void SwitchDevice::OnPacket(sim::PacketPtr pkt, int port) {
 
   // Pipeline pacing: the pps ceiling shows up as queueing ahead of the
   // pipe; the match-action logic itself runs in arrival order.
-  const AsicConfig& cfg = resources_.config();
-  const SimTime slot = std::max<SimTime>(1, static_cast<SimTime>(cfg.packet_slot_ns));
+  const SimTime slot = std::max<SimTime>(1, static_cast<SimTime>(kPacketSlotNs));
   const SimTime queue_wait = std::max<SimTime>(0, pipe_next_free_ - sim_->now());
   pipe_next_free_ = sim_->now() + queue_wait + slot;
   const SimTime pipe_delay =
-      queue_wait + static_cast<SimTime>(cfg.pipeline_latency_ns);
+      queue_wait + static_cast<SimTime>(kPipelineLatencyNs);
 
   IngressResult result = program_->Ingress(*pkt, *this);
   Apply(result, std::move(pkt), pipe_delay);
@@ -180,8 +186,7 @@ void SwitchDevice::Apply(const IngressResult& result, sim::PacketPtr pkt,
       // One span per traversal: queue-behind-the-pipe wait plus the fixed
       // match-action latency, labeled with the action the program chose.
       const SimTime queue_wait =
-          pipe_delay -
-          static_cast<SimTime>(resources_.config().pipeline_latency_ns);
+          pipe_delay - static_cast<SimTime>(kPipelineLatencyNs);
       telemetry::IntHop hop;
       hop.at = sim_->now();
       hop.hop = int_hop_pipe_;
@@ -261,7 +266,7 @@ void SwitchDevice::Recirculate(sim::PacketPtr pkt, SimTime pipe_delay) {
   const SimTime backlog_ns = std::max<SimTime>(0, recirc_busy_until_ - ready);
   const uint64_t backlog_bytes = static_cast<uint64_t>(
       static_cast<double>(backlog_ns) * cfg.recirc_rate_gbps / 8.0);
-  if (backlog_bytes + bytes > cfg.recirc_queue_bytes) {
+  if (backlog_bytes + bytes > kRecircQueueBytes) {
     ++stats_.recirc_drops;
     sim::MarkEnd(*pkt, sim::PacketEnd::kDroppedRecirc);
     if (int_ != nullptr && pkt->int_id != 0) {
@@ -290,7 +295,7 @@ void SwitchDevice::Recirculate(sim::PacketPtr pkt, SimTime pipe_delay) {
 
   pkt->recirc_count++;
   pkt->recirc_generation = recirc_generation_;
-  const SimTime loop = static_cast<SimTime>(cfg.recirc_loop_ns);
+  const SimTime loop = static_cast<SimTime>(kRecircLoopNs);
   if (int_ != nullptr) {
     const SimTime orbit_ns = done + loop - sim_->now();
     int_->Record(int_hist_recirc_, orbit_ns);

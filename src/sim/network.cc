@@ -45,11 +45,4 @@ int Network::num_ports(Node* node) const {
 
 void Network::SetDropTap(DropTapFn tap) { drop_tap_ = std::move(tap); }
 
-Link* Network::link_at(Node* node, int port) const {
-  auto it = ports_.find(node);
-  if (it == ports_.end()) return nullptr;
-  if (port < 0 || port >= static_cast<int>(it->second.size())) return nullptr;
-  return it->second[static_cast<size_t>(port)].link;
-}
-
 }  // namespace orbit::sim

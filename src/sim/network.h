@@ -29,7 +29,6 @@ class Network {
   void Send(Node* node, int port, PacketPtr pkt, SimTime extra_delay = 0);
 
   int num_ports(Node* node) const;
-  Link* link_at(Node* node, int port) const;
 
   // Link enumeration, in creation order (telemetry names per-link counters
   // by this index, which is stable for a deterministic build order).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <sstream>
 
 #include "common/check.h"
 
@@ -66,13 +65,6 @@ int64_t Histogram::Percentile(double q) const {
     if (seen >= target) return std::clamp(BucketMid(static_cast<int>(i)), min_, max_);
   }
   return max_;
-}
-
-std::string Histogram::Summary() const {
-  std::ostringstream os;
-  os << "p50=" << Percentile(0.5) / 1000.0 << "us p99=" << Percentile(0.99) / 1000.0
-     << "us mean=" << mean() / 1000.0 << "us n=" << count_;
-  return os.str();
 }
 
 }  // namespace orbit::stats

@@ -7,8 +7,8 @@
 
 #include <array>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace orbit::stats {
 
@@ -51,9 +51,6 @@ class Histogram {
   int64_t Percentile(double q) const;
   int64_t Median() const { return Percentile(0.50); }
   int64_t P99() const { return Percentile(0.99); }
-
-  // "p50=12.3us p99=45.6us n=123456"
-  std::string Summary() const;
 
  private:
   static constexpr int kSubBits = 6;          // 64 sub-buckets per group

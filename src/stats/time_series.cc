@@ -15,8 +15,4 @@ void TimeSeries::Add(SimTime t, double amount) {
   bins_[bin] += amount;
 }
 
-double TimeSeries::RateAt(size_t i) const {
-  return bin(i) * static_cast<double>(kSecond) / static_cast<double>(bin_width_);
-}
-
 }  // namespace orbit::stats

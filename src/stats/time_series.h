@@ -18,8 +18,6 @@ class TimeSeries {
   size_t num_bins() const { return bins_.size(); }
   double bin(size_t i) const { return bins_.at(i); }
   SimTime bin_width() const { return bin_width_; }
-  // Bin value normalized to a per-second rate.
-  double RateAt(size_t i) const;
 
   const std::vector<double>& bins() const { return bins_; }
 

@@ -26,7 +26,6 @@ JsonValue ConfigJson(const TestbedConfig& config) {
   out.Set("write_ratio", config.workload.write_ratio);
   out.Set("twitter", config.workload.twitter != nullptr ? JsonValue(config.workload.twitter->id)
                                                : JsonValue());
-  out.Set("preload", config.cache.preload);
   out.Set("orbit_cache_size", static_cast<int64_t>(config.cache.orbit_cache_size));
   out.Set("orbit_capacity", static_cast<int64_t>(config.cache.orbit_capacity));
   out.Set("orbit_queue_size", static_cast<int64_t>(config.cache.orbit_queue_size));
@@ -87,21 +86,13 @@ JsonValue ConfigJson(const TestbedConfig& config) {
   {
     JsonValue asic = JsonValue::MakeObject();
     asic.Set("num_stages", config.topo.asic.num_stages);
-    asic.Set("max_match_key_bytes",
-             static_cast<int64_t>(config.topo.asic.max_match_key_bytes));
     asic.Set("alu_bytes_per_stage",
              static_cast<int64_t>(config.topo.asic.alu_bytes_per_stage));
     asic.Set("sram_bytes_per_stage",
              static_cast<int64_t>(config.topo.asic.sram_bytes_per_stage));
     asic.Set("alus_per_stage", config.topo.asic.alus_per_stage);
     asic.Set("tables_per_stage", config.topo.asic.tables_per_stage);
-    asic.Set("pipeline_latency_ns", config.topo.asic.pipeline_latency_ns);
-    asic.Set("packet_slot_ns", config.topo.asic.packet_slot_ns);
-    asic.Set("port_rate_gbps", config.topo.asic.port_rate_gbps);
     asic.Set("recirc_rate_gbps", config.topo.asic.recirc_rate_gbps);
-    asic.Set("recirc_loop_ns", config.topo.asic.recirc_loop_ns);
-    asic.Set("recirc_queue_bytes",
-             static_cast<int64_t>(config.topo.asic.recirc_queue_bytes));
     out.Set("asic", std::move(asic));
   }
   out.Set("client_link_gbps", config.topo.client_link_gbps);
@@ -114,8 +105,6 @@ JsonValue ConfigJson(const TestbedConfig& config) {
     JsonValue fb = JsonValue::MakeObject();
     fb.Set("num_racks", config.topo.fabric.num_racks);
     fb.Set("num_spines", config.topo.fabric.num_spines);
-    fb.Set("uplink_gbps", config.topo.fabric.uplink_gbps);
-    fb.Set("uplink_delay", config.topo.fabric.uplink_delay);
     if (config.topo.fabric.failover) {
       // Probes share uplink bandwidth (outcome-affecting), so failover
       // feeds the fingerprint — but only when on, keeping every

@@ -29,6 +29,12 @@
 
 namespace orbit::testbed {
 
+namespace {
+// Every leaf<->spine uplink.
+constexpr double kUplinkGbps = 100.0;
+constexpr SimTime kUplinkDelay = 500;  // ns one way
+}  // namespace
+
 const char* SchemeName(Scheme scheme) {
   switch (scheme) {
     case Scheme::kNoCache: return "NoCache";
@@ -65,10 +71,12 @@ std::function<uint32_t(const Key&)> MakeValueSizeFn(
 }
 
 bool NetCacheCanCache(const TestbedConfig& config, const Key& key) {
-  if (key.size() > 16) return false;
+  if (key.size() > rmt::kMaxMatchKeyBytes) return false;
   if (config.workload.twitter != nullptr)
     return wl::NetCacheCacheable(*config.workload.twitter, key, config.seed);
-  const uint32_t limit = config.cache.netcache_recirc_read ? 1024 : 64;
+  const uint32_t limit = config.cache.netcache_recirc_read
+                             ? nc::kRecircReadMaxBytes
+                             : nc::kMaxValueBytes;
   return MakeValueSizeFn(config)(key) <= limit;
 }
 
@@ -102,10 +110,6 @@ std::vector<std::string> TestbedConfig::Validate() const {
           ") must be divisible by topo.fabric.num_racks (" +
           std::to_string(topo.fabric.num_racks) +
           ") — racks own equal contiguous server blocks");
-    if (topo.fabric.uplink_gbps <= 0)
-      err("topo.fabric.uplink_gbps must be > 0");
-    if (topo.fabric.uplink_delay < 0)
-      err("topo.fabric.uplink_delay must be >= 0");
     if (topo.fabric.failover) {
       if (topo.fabric.probe_interval <= 0)
         err("topo.fabric.probe_interval must be > 0 when failover is on");
@@ -163,6 +167,9 @@ std::vector<std::string> TestbedConfig::Validate() const {
   if (workload.hot_in && workload.hot_in_period <= 0)
     err("workload.hot_in_period must be > 0 when hot_in is enabled");
 
+  if (scheme == Scheme::kOrbitCache && cache.orbit_cache_size == 0)
+    err("cache.orbit_cache_size must be >= 1 under OrbitCache — for a run "
+        "without a cache, use scheme NoCache");
   if (cache.orbit_cache_size > cache.orbit_capacity)
     err("cache.orbit_cache_size (" + std::to_string(cache.orbit_cache_size) +
         ") exceeds cache.orbit_capacity (" +
@@ -238,8 +245,8 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
   tspec.num_racks = racks;
   tspec.num_spines = spines;
   tspec.asic = config.topo.asic;
-  tspec.uplink.rate_gbps = fb.uplink_gbps;
-  tspec.uplink.propagation = fb.uplink_delay;
+  tspec.uplink.rate_gbps = kUplinkGbps;
+  tspec.uplink.propagation = kUplinkDelay;
   // Scheduled burst loss rides on every uplink; Network::Connect
   // decorrelates the per-link RNG seeds.
   tspec.uplink.burst_loss = config.fault.fabric_burst_loss;
@@ -579,7 +586,7 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
   // fabric-wide cache is the union of per-rack hot sets. NetCache holds
   // the cacheable subset of them: the paper preloads the cacheable subset
   // of the 10K hottest items.
-  if (config.cache.preload && fab_ctrl != nullptr) {
+  if (fab_ctrl != nullptr) {
     std::function<bool(const Key&)> admit;
     if (config.scheme == Scheme::kNetCache)
       admit = [&config](const Key& key) {
@@ -731,15 +738,8 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
   }
   if (injector != nullptr) res.faults_injected = injector->stats().injected;
   if (failover != nullptr) res.reroutes = failover->stats().reroutes;
-  // Packets discarded at down uplinks (blackholes, spine crashes,
-  // partitions) — counted whether or not failover is rerouting.
-  for (int r = 0; r < racks; ++r) {
-    for (int s = 0; s < spines; ++s) {
-      const sim::Link* ul = topo.uplink(r, s);
-      res.blackholed_packets +=
-          ul->stats(0).down_drops + ul->stats(1).down_drops;
-    }
-  }
+  // Counted whether or not failover is rerouting.
+  res.blackholed_packets = topo.blackholed_packets();
   res.rx_rps = static_cast<double>(rx) / secs;
   res.tx_rps = static_cast<double>(tx - snap.client_tx) / secs;
 

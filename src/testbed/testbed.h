@@ -61,8 +61,6 @@ struct TestbedConfig {
     struct Fabric {
       int num_racks = 0;           // 0 = single-switch testbed
       int num_spines = 1;
-      double uplink_gbps = 100.0;  // each leaf<->spine link
-      SimTime uplink_delay = 500;  // ns one way
       // Probe-based uplink liveness + rerouting (fabric/failover.h).
       // Opt-in: probes share uplink bandwidth with data, so enabling it
       // changes results; the knobs are serialized only when failover is
@@ -95,7 +93,6 @@ struct TestbedConfig {
 
   // Cache sizing and scheme options.
   struct CacheTuning {
-    bool preload = true;
     size_t orbit_cache_size = 128;  // preloaded hottest items (§5.1)
     size_t orbit_capacity = 1024;   // data-plane array capacity
     size_t orbit_queue_size = 8;    // request-table depth S

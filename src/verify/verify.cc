@@ -216,11 +216,11 @@ void Verifier::Finalize(const EndOfRun& end) {
       sram[e.stage] += e.sram_bytes;
       alus[e.stage] += e.alus;
       tables[e.stage] += e.tables;
-      if (e.match_key_bytes > asic.max_match_key_bytes) {
+      if (e.match_key_bytes > rmt::kMaxMatchKeyBytes) {
         AddViolation("rmt_match_key",
                      e.name + ": match key " +
                          std::to_string(e.match_key_bytes) + "B > limit " +
-                         std::to_string(asic.max_match_key_bytes) + "B");
+                         std::to_string(rmt::kMaxMatchKeyBytes) + "B");
       }
     }
     for (const auto& [stage, bytes] : sram) {

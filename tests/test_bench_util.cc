@@ -2,8 +2,9 @@
 // configuration to the paper's constants so a drive-by edit can't
 // silently change what the benches measure. run_all selects its scale
 // through harness::ParseCli, its experiments through
-// harness::SelectExperiments, and builds each testbed from
-// harness::ScaledPaperConfig, so all three are pinned here.
+// harness::SelectExperiments, and builds each point's testbed with
+// harness::ExpandGrid from the spec's base (the TestbedConfig defaults
+// unless the spec overrides them), so all three are pinned here.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -16,8 +17,13 @@
 namespace orbit::harness {
 namespace {
 
+// The testbed run_all builds for an experiment that keeps the default base.
+testbed::TestbedConfig DefaultBaseConfig(Scale scale) {
+  return ExpandGrid(ExperimentSpec{}, scale, 42).at(0).config;
+}
+
 TEST(PaperConfig, MatchesSection51) {
-  const testbed::TestbedConfig cfg = ScaledPaperConfig(Scale::kFull);
+  const testbed::TestbedConfig cfg = DefaultBaseConfig(Scale::kFull);
   EXPECT_EQ(cfg.topo.num_clients, 4);              // 4 client nodes
   EXPECT_EQ(cfg.topo.num_servers, 32);             // 4 nodes x 8 emulated servers
   EXPECT_DOUBLE_EQ(cfg.topo.server_rate_rps, 100'000);  // Rx limit per server
@@ -33,9 +39,9 @@ TEST(PaperConfig, MatchesSection51) {
 }
 
 TEST(PaperConfig, QuickModeOnlyShrinksScale) {
-  const testbed::TestbedConfig f = ScaledPaperConfig(Scale::kFull);
+  const testbed::TestbedConfig f = DefaultBaseConfig(Scale::kFull);
   for (const Scale scale : {Scale::kQuick, Scale::kDefault}) {
-    const testbed::TestbedConfig q = ScaledPaperConfig(scale);
+    const testbed::TestbedConfig q = DefaultBaseConfig(scale);
     // Smaller scales may shrink the key space and windows but must not
     // alter the comparison-relevant knobs.
     EXPECT_LT(q.workload.num_keys, f.workload.num_keys);
@@ -90,9 +96,9 @@ TEST(SelectExperiments, ExactNameElseSubstring) {
   EXPECT_EQ(Selected({}).size(), benchexp::AllExperiments().size());
 }
 
-// The three scales are ordered; full is the §5.1 paper scale;
-// ScaledPaperConfig is a pure delegate of the single ScaleProfile source
-// of truth.
+// The three scales are ordered; full is the §5.1 paper scale; the
+// testbed takes its scale only from the single ScaleProfile source of
+// truth.
 TEST(ScaleProfile, OrderedAndDelegated) {
   const ScaleProfile q = PaperScaleProfile(Scale::kQuick);
   const ScaleProfile d = PaperScaleProfile(Scale::kDefault);
@@ -103,9 +109,9 @@ TEST(ScaleProfile, OrderedAndDelegated) {
   EXPECT_LT(d.duration, f.duration);
   EXPECT_EQ(f.num_keys, 10'000'000u);
 
-  EXPECT_EQ(ScaledPaperConfig(Scale::kFull).workload.num_keys, f.num_keys);
-  EXPECT_EQ(ScaledPaperConfig(Scale::kFull).duration, f.duration);
-  EXPECT_EQ(ScaledPaperConfig(Scale::kDefault).workload.num_keys, d.num_keys);
+  EXPECT_EQ(DefaultBaseConfig(Scale::kFull).workload.num_keys, f.num_keys);
+  EXPECT_EQ(DefaultBaseConfig(Scale::kFull).duration, f.duration);
+  EXPECT_EQ(DefaultBaseConfig(Scale::kDefault).workload.num_keys, d.num_keys);
 }
 
 }  // namespace

@@ -1,86 +1,33 @@
-#include "common/bytes.h"
+// The big-endian version prefix of materialized values (kv::Value).
+#include "kv/value.h"
 
 #include <gtest/gtest.h>
 
-#include "common/check.h"
-
-namespace orbit {
+namespace orbit::kv {
 namespace {
 
-TEST(ByteWriter, WritesBigEndian) {
-  ByteWriter w;
-  w.u8(0x01);
-  w.u16(0x0203);
-  w.u32(0x04050607);
-  w.u64(0x08090a0b0c0d0e0full);
-  const std::vector<uint8_t> expected = {0x01, 0x02, 0x03, 0x04, 0x05,
-                                         0x06, 0x07, 0x08, 0x09, 0x0a,
-                                         0x0b, 0x0c, 0x0d, 0x0e, 0x0f};
-  EXPECT_EQ(w.data(), expected);
+TEST(VersionPrefix, MaterializeWritesBigEndian) {
+  const std::string bytes =
+      Value::Synthetic(12, 0x0102030405060708ull).Materialize("key");
+  const std::string prefix = {1, 2, 3, 4, 5, 6, 7, 8};
+  EXPECT_EQ(bytes.substr(0, 8), prefix);
 }
 
-TEST(ByteWriter, FixedPadsWithZeros) {
-  ByteWriter w;
-  w.fixed("ab", 4);
-  const std::vector<uint8_t> expected = {'a', 'b', 0, 0};
-  EXPECT_EQ(w.data(), expected);
+TEST(VersionPrefix, FromBytesReadsBigEndian) {
+  const std::string bytes = {8, 9, 10, 11, 12, 13, 14, 15, 'x'};
+  const Value v = Value::FromBytes(bytes);
+  EXPECT_EQ(v.version(), 0x08090a0b0c0d0e0full);
+  EXPECT_EQ(v.size(), 9u);
 }
 
-TEST(ByteWriter, FixedRejectsOverflow) {
-  ByteWriter w;
-  EXPECT_THROW(w.fixed("abcde", 4), CheckFailure);
-}
-
-TEST(ByteWriter, BytesAppendsRaw) {
-  ByteWriter w;
-  w.bytes("hi");
-  w.bytes("!");
-  EXPECT_EQ(w.size(), 3u);
-}
-
-TEST(ByteReader, RoundTripsAllWidths) {
-  ByteWriter w;
-  w.u8(0xab);
-  w.u16(0xcdef);
-  w.u32(0xdeadbeef);
-  w.u64(0x0123456789abcdefull);
-  w.bytes("tail");
-  ByteReader r(w.data());
-  EXPECT_EQ(r.u8(), 0xab);
-  EXPECT_EQ(r.u16(), 0xcdef);
-  EXPECT_EQ(r.u32(), 0xdeadbeefu);
-  EXPECT_EQ(r.u64(), 0x0123456789abcdefull);
-  EXPECT_EQ(r.bytes(4), "tail");
-  EXPECT_TRUE(r.ok());
-  EXPECT_EQ(r.remaining(), 0u);
-}
-
-TEST(ByteReader, TruncationLatchesError) {
-  ByteWriter w;
-  w.u16(7);
-  ByteReader r(w.data());
-  EXPECT_EQ(r.u32(), 0u);  // past the end
-  EXPECT_FALSE(r.ok());
-  // Error is sticky and subsequent reads stay safe.
-  EXPECT_EQ(r.u8(), 0u);
-  EXPECT_FALSE(r.ok());
-}
-
-TEST(ByteReader, BytesPastEndReturnsEmpty) {
-  std::vector<uint8_t> buf = {1, 2};
-  ByteReader r(buf);
-  EXPECT_EQ(r.bytes(3), "");
-  EXPECT_FALSE(r.ok());
-}
-
-// Round-trip across widths and offsets (property-style sweep).
+// Round trip across the u64 range (property-style sweep).
 class ByteRoundTrip : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ByteRoundTrip, U64SurvivesRoundTrip) {
-  ByteWriter w;
-  w.u64(GetParam());
-  ByteReader r(w.data());
-  EXPECT_EQ(r.u64(), GetParam());
+  const Value v = Value::Synthetic(8, GetParam());
+  const Value back = Value::FromBytes(v.Materialize("key"));
+  EXPECT_EQ(back.version(), GetParam());
+  EXPECT_TRUE(back.ContentEquals(v, "key"));
 }
 
 INSTANTIATE_TEST_SUITE_P(Values, ByteRoundTrip,
@@ -89,4 +36,4 @@ INSTANTIATE_TEST_SUITE_P(Values, ByteRoundTrip,
                                            UINT64_MAX));
 
 }  // namespace
-}  // namespace orbit
+}  // namespace orbit::kv

@@ -339,7 +339,7 @@ class ManyKeysWorkload : public WorkloadSource {
   uint64_t counter_ = 0;
 };
 
-// Regression: check_staleness used to grow last_version_ with every
+// Regression: the stale-read check used to grow last_version_ with every
 // distinct key forever; the map must respect staleness_max_keys.
 TEST(ClientStaleness, TrackingMapRespectsConfiguredBound) {
   sim::Simulator sim;

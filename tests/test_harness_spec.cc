@@ -88,8 +88,9 @@ TEST(DeriveSeed, StableAndExperimentScoped) {
   EXPECT_NE(DeriveSeed(43, "fig09_skewness", 3, 1), a);
 }
 
-TEST(ScaledPaperConfig, FullIsSection51) {
-  const testbed::TestbedConfig cfg = ScaledPaperConfig(Scale::kFull);
+TEST(ExpandGrid, DefaultBaseAtFullScaleIsSection51) {
+  const testbed::TestbedConfig cfg =
+      ExpandGrid(ExperimentSpec{}, Scale::kFull, 42).at(0).config;
   EXPECT_EQ(cfg.topo.num_clients, 4);
   EXPECT_EQ(cfg.topo.num_servers, 32);
   EXPECT_EQ(cfg.workload.num_keys, 10'000'000u);

@@ -9,16 +9,14 @@
 namespace orbit::kv {
 namespace {
 
-TEST(HashTable, PutGetErase) {
+TEST(HashTable, PutGet) {
   HashTable t;
   EXPECT_TRUE(t.Put("a", Value::Synthetic(10, 1)));
   EXPECT_FALSE(t.Put("a", Value::Synthetic(20, 2)));  // overwrite
   ASSERT_NE(t.Get("a"), nullptr);
   EXPECT_EQ(t.Get("a")->size(), 20u);
   EXPECT_EQ(t.Get("b"), nullptr);
-  EXPECT_TRUE(t.Erase("a"));
-  EXPECT_FALSE(t.Erase("a"));
-  EXPECT_EQ(t.size(), 0u);
+  EXPECT_EQ(t.size(), 1u);
 }
 
 TEST(HashTable, GrowsPastInitialBuckets) {
@@ -44,16 +42,6 @@ TEST(HashTable, ForEachVisitsEverything) {
   });
   EXPECT_EQ(visited, 100);
   EXPECT_EQ(version_sum, 99u * 100 / 2);
-}
-
-TEST(HashTable, MoveTransfersOwnership) {
-  HashTable a;
-  a.Put("k", Value::Synthetic(8, 1));
-  HashTable b = std::move(a);
-  ASSERT_NE(b.Get("k"), nullptr);
-  HashTable c;
-  c = std::move(b);
-  ASSERT_NE(c.Get("k"), nullptr);
 }
 
 TEST(HashTable, ProbeStatsStayLowAtBoundedLoad) {
@@ -82,7 +70,7 @@ TEST_P(HashTableFuzz, MatchesReferenceMap) {
                                  rng.NextU64() % 1000);
       t.Put(key, v);
       ref[key] = v;
-    } else if (action < 0.8) {
+    } else {
       const Value* got = t.Get(key);
       auto it = ref.find(key);
       if (it == ref.end()) {
@@ -91,8 +79,6 @@ TEST_P(HashTableFuzz, MatchesReferenceMap) {
         ASSERT_NE(got, nullptr) << key;
         ASSERT_EQ(*got, it->second) << key;
       }
-    } else {
-      ASSERT_EQ(t.Erase(key), ref.erase(key) > 0) << key;
     }
     ASSERT_EQ(t.size(), ref.size());
   }

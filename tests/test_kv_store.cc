@@ -39,25 +39,15 @@ TEST(KvStore, PutVersionedCreatesMissingKey) {
   EXPECT_EQ(store.Get("k")->version(), 5u);
 }
 
-TEST(KvStore, EraseRemoves) {
-  KvStore store;
-  store.Put("k", 10);
-  EXPECT_TRUE(store.Erase("k"));
-  EXPECT_FALSE(store.Get("k").has_value());
-  EXPECT_FALSE(store.Erase("k"));
-}
-
 TEST(KvStore, StatsCountOperations) {
   KvStore store;
   store.Get("a");
   store.Put("a", 1);
   store.Get("a");
-  store.Erase("a");
   const auto& s = store.stats();
   EXPECT_EQ(s.gets, 2u);
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.puts, 1u);
-  EXPECT_EQ(s.erases, 1u);
 }
 
 }  // namespace

@@ -183,6 +183,18 @@ TEST(TestbedValidate, CacheLargerThanCapacityIsActionable) {
   EXPECT_TRUE(HasErrorMentioning(errors, "1024"));
 }
 
+TEST(TestbedValidate, EmptyOrbitCacheIsRejected) {
+  TestbedConfig cfg;
+  cfg.cache.orbit_cache_size = 0;
+  EXPECT_TRUE(HasErrorMentioning(cfg.Validate(), "orbit_cache_size"));
+  EXPECT_TRUE(HasErrorMentioning(cfg.Validate(), "NoCache"))
+      << "the message must name the scheme to use instead";
+  // NetCache with no preloaded items stays valid: it is the NoCache oracle.
+  cfg.scheme = Scheme::kNetCache;
+  cfg.cache.netcache_size = 0;
+  EXPECT_TRUE(cfg.Validate().empty());
+}
+
 TEST(TestbedValidate, TimelineBinBeyondDurationIsRejected) {
   TestbedConfig cfg;
   cfg.duration = 100 * kMillisecond;

@@ -19,12 +19,6 @@ TEST(TimeSeries, BinsByTime) {
   EXPECT_DOUBLE_EQ(ts.bin(2), 2.5);
 }
 
-TEST(TimeSeries, RateNormalizesToPerSecond) {
-  TimeSeries ts(kSecond / 4);
-  for (int i = 0; i < 10; ++i) ts.Add(0);
-  EXPECT_DOUBLE_EQ(ts.RateAt(0), 40.0);
-}
-
 TEST(TimeSeries, GrowsOnDemand) {
   TimeSeries ts(10);
   ts.Add(1000);
