@@ -114,11 +114,10 @@ int main() {
   auto c = net.Connect(&client, &sw, sim::LinkConfig{});
   auto s = net.Connect(&server, &sw, sim::LinkConfig{});
   auto k = net.Connect(&controller_stub, &sw, sim::LinkConfig{});
+  // Each route also points the address's PRE clone group at its port.
   sw.AddRoute(kClient, c.port_b);
   sw.AddRoute(kServer, s.port_b);
   sw.AddRoute(kController, k.port_b);
-  program.RegisterCloneTarget(kClient, c.port_b);
-  program.RegisterCloneTarget(kController, k.port_b);
 
   const Key x = "key-X-00000000", y = "key-Y-00000000";
   const uint32_t idx = 0;

@@ -2,10 +2,10 @@
 //
 // Two racks behind a spine, assembled with fabric::FabricTopology as the
 // testbed assembles every run: each leaf (ToR) runs OrbitCache for its own
-// rack's storage servers, so for any request path exactly one switch
-// applies the cache logic. A rack-0 client reads items from both racks;
-// the printout shows where each reply came from and what the extra spine
-// hops cost.
+// rack's storage servers and the spine runs no program, so for any request
+// path exactly one switch applies the cache logic. A rack-0 client reads
+// items from both racks; the printout shows where each reply came from and
+// what the extra spine hops cost.
 //
 //   ./build/examples/multi_rack
 #include <cstdio>
@@ -13,7 +13,6 @@
 
 #include "apps/server.h"
 #include "fabric/topology.h"
-#include "nocache/program.h"
 #include "orbitcache/program.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
@@ -57,10 +56,8 @@ int main() {
   oc::OrbitConfig ocfg;
   ocfg.capacity = 8;
   oc::OrbitProgram prog0(&topo.leaf(0), ocfg), prog1(&topo.leaf(1), ocfg);
-  nocache::ForwardProgram fwd;
   topo.leaf(0).SetProgram(&prog0);
   topo.leaf(1).SetProgram(&prog1);
-  topo.spine(0).SetProgram(&fwd);
 
   EchoClient client(&sim);
   EchoClient ctrl(&sim);  // fetch-ack sink
@@ -75,17 +72,14 @@ int main() {
   app::ServerNode srv1(&sim, &net, 0, s1cfg, [](const Key&) { return 512u; });
 
   // AttachHost wires each access link and installs the host's route on
-  // every leaf and spine.
+  // every leaf and spine. Each leaf's program points the host's clone
+  // group along that route, so cache packets fork toward the client and
+  // the controller through the access port on leaf 0 and through the
+  // uplink on leaf 1.
   topo.AttachHost(&client, kClientAddr, 0, sim::LinkConfig{});
   topo.AttachHost(&srv0, kSrv0, 0, sim::LinkConfig{});
   topo.AttachHost(&srv1, kSrv1, 1, sim::LinkConfig{});
   topo.AttachHost(&ctrl, kCtrl, 0, sim::LinkConfig{});
-  // Cache packets fork toward the client and the controller: through the
-  // access port on leaf 0, through the uplink on leaf 1.
-  for (Addr addr : {kClientAddr, kCtrl}) {
-    prog0.RegisterCloneTarget(addr, topo.LeafPortFor(0, addr));
-    prog1.RegisterCloneTarget(addr, topo.LeafPortFor(1, addr));
-  }
 
   const Key local_hot = "rack0-hot-000000";
   const Key remote_hot = "rack1-hot-000000";

@@ -126,9 +126,9 @@ void FailoverManager::RecomputeRoutes() {
       }
       const int port = topo_->leaf_uplink_port(r, chosen);
       if (topo_->leaf(r).RouteOf(addr) != port) {
+        // The leaf's program follows the route (clone groups included).
         topo_->leaf(r).AddRoute(addr, port);
         ++stats_.reroutes;
-        if (route_update_) route_update_(r, addr, port);
       }
     }
   });

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -49,14 +48,6 @@ class FailoverManager {
  public:
   FailoverManager(sim::Simulator* sim, FabricTopology* topo,
                   const FailoverConfig& config);
-
-  // Fired for every next-hop rewrite (rack r's route for `addr` now leaves
-  // via leaf port `port`) so the testbed can keep PRE clone targets in
-  // sync with the L3 table. Set before Start().
-  void set_route_update_hook(
-      std::function<void(int rack, Addr addr, int port)> hook) {
-    route_update_ = std::move(hook);
-  }
 
   // Registers the per-leaf ack handlers and starts the probe timer.
   void Start();
@@ -94,7 +85,6 @@ class FailoverManager {
   std::vector<std::vector<SimTime>> last_ack_;  // [rack][spine]
   std::vector<std::vector<int>> port_to_spine_; // [rack][leaf port] -> spine
   std::unique_ptr<sim::PeriodicTask> timer_;
-  std::function<void(int, Addr, int)> route_update_;
   Stats stats_;
   uint64_t blackholed_routes_ = 0;
   telemetry::FlightRecorder* flight_ = nullptr;

@@ -50,17 +50,17 @@ FabricTopology::FabricTopology(sim::Simulator* sim, sim::Network* net,
 void FabricTopology::ForEachHost(
     const std::function<void(Addr, int rack)>& fn) const {
   std::vector<Addr> addrs;
-  addrs.reserve(hosts_.size());
-  for (const auto& [addr, entry] : hosts_) addrs.push_back(addr);
+  addrs.reserve(host_rack_.size());
+  for (const auto& [addr, rack] : host_rack_) addrs.push_back(addr);
   std::sort(addrs.begin(), addrs.end());
-  for (Addr addr : addrs) fn(addr, hosts_.at(addr).rack);
+  for (Addr addr : addrs) fn(addr, host_rack_.at(addr));
 }
 
 sim::Network::Attachment FabricTopology::AttachHost(
     sim::Node* host, Addr addr, int rack, const sim::LinkConfig& link) {
   ORBIT_CHECK_MSG(rack >= 0 && rack < spec_.num_racks,
                   "AttachHost: rack " << rack << " out of range");
-  ORBIT_CHECK_MSG(hosts_.count(addr) == 0,
+  ORBIT_CHECK_MSG(host_rack_.count(addr) == 0,
                   "AttachHost: addr " << addr << " already attached");
   const auto at =
       net_->Connect(host, leaves_[static_cast<size_t>(rack)].get(), link);
@@ -77,7 +77,7 @@ sim::Network::Attachment FabricTopology::AttachHost(
     leaf(r).AddRoute(addr, leaf_uplink_port(r, SpineFor(addr)));
   }
 
-  hosts_[addr] = HostEntry{rack, at.port_b};
+  host_rack_[addr] = rack;
   return at;
 }
 
@@ -87,15 +87,6 @@ uint64_t FabricTopology::blackholed_packets() const {
     for (const sim::Link* link : rack)
       total += link->stats(0).down_drops + link->stats(1).down_drops;
   return total;
-}
-
-int FabricTopology::LeafPortFor(int rack, Addr addr) const {
-  const auto it = hosts_.find(addr);
-  ORBIT_CHECK_MSG(it != hosts_.end(),
-                  "LeafPortFor: addr " << addr << " not attached");
-  if (it->second.rack == rack) return it->second.leaf_port;
-  return leaf_uplink_port_[static_cast<size_t>(rack)]
-                          [static_cast<size_t>(SpineFor(addr))];
 }
 
 }  // namespace orbit::fabric

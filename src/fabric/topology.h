@@ -3,8 +3,8 @@
 //
 // N racks, each fronted by one leaf (ToR) switch; S spines interconnect
 // the leaves with a full bipartite mesh of uplinks. Exactly one switch on
-// any path — the destination's leaf — applies cache logic; spines run
-// plain forwarding with deterministic static routing: traffic toward
+// any path — the destination's leaf — applies cache logic; spines attach
+// no program and forward by deterministic static routes: traffic toward
 // address A always crosses spine A % S, so a given (source rack,
 // destination) pair uses one fixed path and results are reproducible
 // regardless of execution order.
@@ -13,7 +13,9 @@
 // through AttachHost(), which wires the access link and installs the
 // address on every switch: the owning leaf routes it to the access port,
 // every spine routes it to the owning leaf's downlink, and every other
-// leaf routes it into the uplink toward the address's spine.
+// leaf routes it into the uplink toward the address's spine. A leaf's
+// program sees each route it is given (OrbitCache points its PRE clone
+// group for the address the same way), so attach programs first.
 //
 // A spineless topology is one rack: the paper's §5.1 single-ToR testbed.
 // Its lone leaf keeps the single switch's name, "tor".
@@ -58,11 +60,6 @@ class FabricTopology {
   sim::Network::Attachment AttachHost(sim::Node* host, Addr addr, int rack,
                                       const sim::LinkConfig& link);
 
-  // Egress port on leaf `rack` toward `addr`: the access port when the
-  // address lives in this rack, else the uplink toward SpineFor(addr).
-  // Used to register PRE clone targets per leaf. `addr` must be attached.
-  int LeafPortFor(int rack, Addr addr) const;
-
   // The (rack, spine) uplink and its port numbers — fault injection brings
   // links down, the failover manager probes them and rewires next-hops.
   sim::Link* uplink(int rack, int spine) const {
@@ -81,11 +78,6 @@ class FabricTopology {
   void ForEachHost(const std::function<void(Addr, int rack)>& fn) const;
 
  private:
-  struct HostEntry {
-    int rack = -1;
-    int leaf_port = -1;  // access port on the owning leaf
-  };
-
   sim::Simulator* sim_;
   sim::Network* net_;
   TopologySpec spec_;
@@ -94,7 +86,7 @@ class FabricTopology {
   std::vector<std::vector<int>> leaf_uplink_port_;  // [rack][spine] on leaf
   std::vector<std::vector<int>> spine_down_port_;   // [spine][rack] on spine
   std::vector<std::vector<sim::Link*>> uplinks_;    // [rack][spine]
-  std::unordered_map<Addr, HostEntry> hosts_;
+  std::unordered_map<Addr, int> host_rack_;  // attached addr -> rack
 };
 
 }  // namespace orbit::fabric

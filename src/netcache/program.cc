@@ -114,7 +114,6 @@ std::vector<Key> NetProgram::DrainSelfEvictions() {
 }
 
 void NetProgram::ResetDataPlane() {
-  device_->FlushRecirculation();  // recirculating reads die at the barrier
   lookup_.Clear();
   valid_.Fill(0);
   wepoch_.Fill(0);
@@ -171,11 +170,6 @@ std::string NetProgram::LoadValue(uint32_t idx) const {
 
 IngressResult NetProgram::Ingress(sim::Packet& pkt, rmt::SwitchDevice& sw) {
   (void)sw;
-  if (bypass_) {
-    // Degraded mode: transparent pass-through (see set_bypass).
-    ++stats_.bypass_forwarded;
-    return IngressResult::ToAddr(pkt.dst);
-  }
   if (!IsOrbit(pkt)) return IngressResult::ToAddr(pkt.dst);
 
   using proto::Op;
@@ -337,8 +331,6 @@ void NetProgram::RegisterTelemetry(telemetry::Registry& reg,
                  [this] { return stats_.hot_reports; }, who);
   reg.AddCounter(prefix + "netcache.request_recircs",
                  [this] { return stats_.request_recircs; }, who);
-  reg.AddCounter(prefix + "netcache.bypass_forwarded",
-                 [this] { return stats_.bypass_forwarded; }, who);
   reg.AddGauge(prefix + "netcache.entries", [this] { return lookup_.size(); }, who);
 
   reg.AddCounter(prefix + "rmt.s0.nc_lookup.lookups",

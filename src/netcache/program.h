@@ -62,9 +62,6 @@ class NetProgram : public rmt::SwitchProgram {
   NetProgram(rmt::SwitchDevice* device, const NetConfig& config);
 
   rmt::IngressResult Ingress(sim::Packet& pkt, rmt::SwitchDevice& sw) override;
-  std::string program_name() const override { return "netcache"; }
-  // INT: always-on served-value-size histogram (shared "value.bytes").
-  void OnIntAttached(telemetry::IntSink& sink) override;
 
   // ---- control plane ------------------------------------------------------
   // Bytes one pipeline pass can read from the value registers.
@@ -92,17 +89,6 @@ class NetProgram : public rmt::SwitchProgram {
   std::vector<Key> DrainSelfEvictions();
   void ResetSketch() { sketch_.Reset(); }
 
-  // Simulates an ASIC reboot: lookup table, validity/epoch/value
-  // registers, sketch and report state are wiped, and any recirculating
-  // read (recirc_read_mode) dies at the reboot barrier. Routes survive.
-  void ResetDataPlane();
-
-  // Degraded mode (fabric leaf crash, PR 10): while set, Ingress is
-  // transparent NoCache forwarding. Callers wipe the data plane when
-  // entering bypass.
-  void set_bypass(bool on) { bypass_ = on; }
-  bool bypass() const { return bypass_; }
-
   struct Stats {
     uint64_t read_requests = 0;
     uint64_t read_hits = 0;
@@ -116,19 +102,24 @@ class NetProgram : public rmt::SwitchProgram {
     uint64_t uncacheable_values = 0;   // fetch produced an over-limit value
     uint64_t hot_reports = 0;
     uint64_t request_recircs = 0;  // recirc-read strawman passes
-    uint64_t bypass_forwarded = 0;  // packets passed through while degraded
   };
   const Stats& stats() const { return stats_; }
   void ResetStats() { stats_ = Stats{}; }
 
-  // Registers netcache.* outcome counters and per-table / per-stage
-  // register access counters against `reg`.
-  void RegisterTelemetry(telemetry::Registry& reg,
-                         const std::string& prefix = "");
-
   const NetConfig& config() const { return config_; }
 
  private:
+  // ASIC reboot, after the device's recirculation flush retired any
+  // recirculating read (recirc_read_mode): lookup table, validity/epoch/
+  // value registers, sketch and report state are wiped. Routes survive.
+  void ResetDataPlane() override;
+  // INT: always-on served-value-size histogram (shared "value.bytes").
+  void OnIntAttached(telemetry::IntSink& sink) override;
+  // Registers netcache.* outcome counters and per-table / per-stage
+  // register access counters against `reg`.
+  void RegisterTelemetry(telemetry::Registry& reg,
+                         const std::string& prefix) override;
+
   bool IsOrbit(const sim::Packet& pkt) const {
     return pkt.dport == config_.orbit_port || pkt.sport == config_.orbit_port;
   }
@@ -168,7 +159,6 @@ class NetProgram : public rmt::SwitchProgram {
   telemetry::IntSink* int_ = nullptr;
   uint32_t int_hist_value_ = 0;
 
-  bool bypass_ = false;
   Stats stats_;
 };
 

@@ -25,7 +25,7 @@ OrbitProgram::OrbitProgram(rmt::SwitchDevice* device, const OrbitConfig& config)
       overflow_counter_(&device->resources(), "overflow_requests",
                         /*stage=*/5),
       clone_groups_(&device->resources(), "clone_mcast", /*stage=*/6,
-                    /*capacity=*/256, /*key_width_bytes=*/4),
+                    kCloneGroupCapacity, /*key_width_bytes=*/4),
       acked_frags_(&device->resources(), "mp_acked", /*stage=*/6,
                    config.capacity),
       fetched_frags_(&device->resources(), "mp_fetched", /*stage=*/6,
@@ -88,20 +88,21 @@ std::optional<uint32_t> OrbitProgram::FindIdx(const Hash128& hkey) const {
 }
 
 void OrbitProgram::RegisterCloneTarget(Addr addr, int port) {
-  if (clone_groups_.Lookup(addr) != nullptr) return;
+  // One counted clone-table lookup per call.
+  const std::vector<rmt::McastTarget> targets = {
+      rmt::McastTarget{false, port}, rmt::McastTarget{true, -1}};
+  if (const int* group = clone_groups_.Lookup(addr)) {
+    device_->pre().SetGroup(*group, targets);
+    return;
+  }
   const int group = next_group_id_++;
-  device_->pre().SetGroup(
-      group, {rmt::McastTarget{false, port}, rmt::McastTarget{true, -1}});
+  device_->pre().SetGroup(group, targets);
   ORBIT_CHECK_MSG(clone_groups_.Insert(addr, group),
                   "clone group table full for addr " << addr);
 }
 
-bool OrbitProgram::UpdateCloneTarget(Addr addr, int port) {
-  const int* group = clone_groups_.Lookup(addr);
-  if (group == nullptr) return false;
-  device_->pre().SetGroup(
-      *group, {rmt::McastTarget{false, port}, rmt::McastTarget{true, -1}});
-  return true;
+void OrbitProgram::OnRoute(Addr addr, int port) {
+  RegisterCloneTarget(addr, port);
 }
 
 size_t OrbitProgram::RequestSnapshot() {
@@ -117,7 +118,6 @@ size_t OrbitProgram::RequestSnapshot() {
 
 void OrbitProgram::ResetDataPlane() {
   if (verifier_ != nullptr) verifier_->OnSwitchReset();
-  device_->FlushRecirculation();  // a reboot loses every orbiting packet
   lookup_.Clear();
   valid_.Fill(0);
   epoch_.Fill(0);
@@ -154,13 +154,6 @@ OrbitProgram::HitOverflow OrbitProgram::ReadAndResetHitOverflow() {
 // ---------------------------------------------------------------------------
 
 IngressResult OrbitProgram::Ingress(sim::Packet& pkt, rmt::SwitchDevice& sw) {
-  if (bypass_) {
-    // Degraded mode: transparent pass-through. Orbiting packets from
-    // before the crash were flushed at the device's reboot barrier, so
-    // everything arriving here is ordinary host traffic.
-    ++stats_.bypass_forwarded;
-    return IngressResult::ToAddr(pkt.dst);
-  }
   // Non-OrbitCache traffic (including TCP top-k reports) takes the plain
   // forwarding path.
   if (!IsOrbit(pkt)) return IngressResult::ToAddr(pkt.dst);
@@ -535,8 +528,6 @@ void OrbitProgram::RegisterTelemetry(telemetry::Registry& reg,
   reg.AddCounter(prefix + "orbit.corrections_forwarded",
                  [this] { return stats_.corrections_forwarded; }, who);
   reg.AddCounter(prefix + "orbit.refetches", [this] { return stats_.refetches; }, who);
-  reg.AddCounter(prefix + "orbit.bypass_forwarded",
-                 [this] { return stats_.bypass_forwarded; }, who);
   if (config_.write_back) {
     reg.AddCounter(prefix + "orbit.wb.returned_replies",
                    [this] { return stats_.wb_returned_replies; }, who);

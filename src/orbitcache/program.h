@@ -65,6 +65,10 @@ struct OrbitConfig {
   bool multi_packet = false;
 };
 
+// Clone-group table size (stage 6): one PRE group per routed address, so
+// it bounds how many hosts one OrbitCache switch can route to.
+inline constexpr size_t kCloneGroupCapacity = 256;
+
 // Extension FLAG bits live in proto/message.h (kFlagDirty, kFlagFlush).
 using proto::kFlagDirty;
 using proto::kFlagFlush;
@@ -75,9 +79,6 @@ class OrbitProgram : public rmt::SwitchProgram {
 
   // ---- data plane --------------------------------------------------------
   rmt::IngressResult Ingress(sim::Packet& pkt, rmt::SwitchDevice& sw) override;
-  std::string program_name() const override { return "orbitcache"; }
-  // INT: always-on orbit-count-per-serve and served-value-size histograms.
-  void OnIntAttached(telemetry::IntSink& sink) override;
 
   // ---- control plane (controller-facing) ---------------------------------
   // Binds a cache index to a key hash. Pending requests of a previously
@@ -88,11 +89,10 @@ class OrbitProgram : public rmt::SwitchProgram {
   std::optional<uint32_t> FindIdx(const Hash128& hkey) const;
   size_t num_entries() const { return lookup_.size(); }
 
-  // Registers a clone destination: multicast group {port(addr), recirc}.
+  // Points `addr`'s clone destination, multicast group {port, recirc}, at
+  // `port`, registering the group on first use. The device calls this for
+  // every AddRoute (OnRoute), so clone groups follow the L3 table.
   void RegisterCloneTarget(Addr addr, int port);
-  // Repoints addr's clone destination after a fabric reroute; returns
-  // false when no group was ever registered for the address.
-  bool UpdateCloneTarget(Addr addr, int port);
 
   // Write-back snapshotting (§3.10 names snapshot generation as the module
   // write-back needs; FarReach-style). Marks every dirty entry for flush;
@@ -102,21 +102,6 @@ class OrbitProgram : public rmt::SwitchProgram {
   // switch failure to one snapshot period. Returns how many entries were
   // marked.
   size_t RequestSnapshot();
-
-  // Simulates an ASIC reboot (§3.9): all data-plane state — lookup
-  // entries, validity, queues, counters — is wiped, and every circulating
-  // cache packet dies on its next pass (its lookup now misses). Clone
-  // groups and routes survive, as they would be restored from switch
-  // configuration. The controller rebuilds the cache afterwards.
-  void ResetDataPlane();
-
-  // Degraded mode (fabric leaf crash, PR 10): while set, Ingress is
-  // transparent NoCache forwarding — every packet goes straight to its L3
-  // route, nothing is absorbed or recirculated. Callers wipe the data
-  // plane (ResetDataPlane) when entering bypass so no cache packet
-  // outlives the crash.
-  void set_bypass(bool on) { bypass_ = on; }
-  bool bypass() const { return bypass_; }
 
   // Reads and clears the per-entry popularity counters.
   std::vector<uint64_t> ReadAndResetPopularity();
@@ -175,18 +160,27 @@ class OrbitProgram : public rmt::SwitchProgram {
     uint64_t wb_returned_replies = 0;  // write-back: W-REPs minted by switch
     uint64_t wb_flushes = 0;           // write-back: eviction flushes
     uint64_t wb_snapshot_flushes = 0;  // write-back: snapshot flushes
-    uint64_t bypass_forwarded = 0;     // packets passed through while degraded
   };
   const Stats& stats() const { return stats_; }
   void ResetStats() { stats_ = Stats{}; }
 
+ private:
+  // RegisterCloneTarget: a rerouted address's cache packets fork toward
+  // its new uplink.
+  void OnRoute(Addr addr, int port) override;
+  // ASIC reboot (§3.9), after the device flushed the recirculation loop:
+  // all data-plane state — lookup entries, validity, queues, counters — is
+  // wiped. Clone groups survive with the routes. The controller rebuilds
+  // the cache afterwards.
+  void ResetDataPlane() override;
+  // INT: always-on orbit-count-per-serve and served-value-size histograms.
+  void OnIntAttached(telemetry::IntSink& sink) override;
   // Registers orbit.* outcome counters plus per-table / per-stage register
   // access counters ("rmt.s<stage>.<name>.*") against `reg`. Hop stamps
   // go through the owning device (SwitchDevice::Note / NoteCacheWait).
   void RegisterTelemetry(telemetry::Registry& reg,
-                         const std::string& prefix = "");
+                         const std::string& prefix) override;
 
- private:
   bool IsOrbit(const sim::Packet& pkt) const {
     return pkt.dport == config_.orbit_port || pkt.sport == config_.orbit_port;
   }
@@ -224,7 +218,6 @@ class OrbitProgram : public rmt::SwitchProgram {
   rmt::RegisterArray<uint8_t> flush_pending_;  // snapshot in progress
 
   int next_group_id_ = 1;
-  bool bypass_ = false;
   RefetchFn refetch_;
   Stats stats_;
   verify::Verifier* verifier_ = nullptr;  // not owned; null = no checks

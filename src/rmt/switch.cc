@@ -43,7 +43,15 @@ void SwitchDevice::SetProgram(SwitchProgram* program) {
   program_ = program;
 }
 
-void SwitchDevice::AddRoute(Addr addr, int port) { routes_[addr] = port; }
+void SwitchDevice::AddRoute(Addr addr, int port) {
+  routes_[addr] = port;
+  if (program_ != nullptr) program_->OnRoute(addr, port);
+}
+
+void SwitchDevice::ResetDataPlane() {
+  FlushRecirculation();
+  if (program_ != nullptr) program_->ResetDataPlane();
+}
 
 void SwitchDevice::SetIntSink(telemetry::IntSink* sink) {
   int_ = sink;
@@ -84,6 +92,8 @@ void SwitchDevice::RegisterTelemetry(telemetry::Registry& reg,
                  [this] { return stats_.rx_packets; }, who);
   reg.AddCounter(prefix + "switch.tx_packets",
                  [this] { return stats_.tx_packets; }, who);
+  reg.AddCounter(prefix + "switch.bypass_forwarded",
+                 [this] { return stats_.bypass_forwarded; }, who);
   reg.AddCounter(prefix + "switch.drop.program",
                  [this] { return stats_.dropped_by_program; }, who);
   reg.AddCounter(prefix + "switch.drop.unrouted",
@@ -109,6 +119,7 @@ void SwitchDevice::RegisterTelemetry(telemetry::Registry& reg,
     return static_cast<uint64_t>(
         std::max<SimTime>(0, recirc_busy_until_ - sim_->now()));
   }, who);
+  if (program_ != nullptr) program_->RegisterTelemetry(reg, prefix);
 }
 
 void SwitchDevice::FlushRecirculation() {
@@ -123,7 +134,6 @@ int SwitchDevice::RouteOf(Addr addr) const {
 }
 
 void SwitchDevice::OnPacket(sim::PacketPtr pkt, int port) {
-  ORBIT_CHECK_MSG(program_ != nullptr, name_ << ": no program attached");
   ++stats_.rx_packets;
 
   pkt->ingress_port = port;
@@ -169,7 +179,10 @@ void SwitchDevice::OnPacket(sim::PacketPtr pkt, int port) {
   const SimTime pipe_delay =
       queue_wait + static_cast<SimTime>(kPipelineLatencyNs);
 
-  IngressResult result = program_->Ingress(*pkt, *this);
+  if (bypass_) ++stats_.bypass_forwarded;
+  const IngressResult result = program_ != nullptr && !bypass_
+                                   ? program_->Ingress(*pkt, *this)
+                                   : IngressResult::ToAddr(pkt->dst);
   Apply(result, std::move(pkt), pipe_delay);
 }
 

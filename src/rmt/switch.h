@@ -2,8 +2,9 @@
 //
 // Models one RMT pipeline: packets arriving on any port are gated through
 // a per-packet pipeline slot (the ASIC's packets-per-second ceiling), the
-// attached SwitchProgram runs the match-action logic and picks an action,
-// and egress happens after the pipeline traversal latency. Two special
+// attached SwitchProgram runs the match-action logic and picks an action
+// (with no program, or in bypass, the packet goes by its L3 route), and
+// egress happens after the pipeline traversal latency. Two special
 // facilities mirror the hardware features OrbitCache is built on:
 //
 //  * the PRE executes multicast actions by descriptor-cloning packets, and
@@ -66,17 +67,31 @@ struct IngressResult {
 
 class SwitchDevice;
 
-// A data-plane program (the P4 analogue). Implementations declare their
+// A data-plane program (the P4 analogue): cache logic and nothing else.
+// The hosting SwitchDevice owns L3 forwarding, pipeline pacing, degraded
+// mode, the reboot barrier and observer hookup, and calls the hooks below;
+// a device with no program forwards every packet by its route (the paper's
+// NoCache baseline, and every spine). Implementations declare their
 // tables/registers against the device's Resources ledger at attach time.
 class SwitchProgram {
  public:
   virtual ~SwitchProgram() = default;
   virtual IngressResult Ingress(sim::Packet& pkt, SwitchDevice& sw) = 0;
-  virtual std::string program_name() const = 0;
-  // Called when an IntSink is attached to the hosting device; programs
-  // intern their program-level always-on histograms here (orbit count per
-  // cached key, served value sizes). Default: no instrumentation.
-  virtual void OnIntAttached(telemetry::IntSink& sink) { (void)sink; }
+
+ private:
+  friend class SwitchDevice;
+  // AddRoute just installed or repointed `addr`'s route on front `port`.
+  virtual void OnRoute(Addr /*addr*/, int /*port*/) {}
+  // ASIC reboot (SwitchDevice::ResetDataPlane), called after the device
+  // flushed its recirculation loop: wipe all data-plane state.
+  virtual void ResetDataPlane() {}
+  // SetIntSink: intern program-level always-on histograms (orbit count per
+  // cached key, served value sizes).
+  virtual void OnIntAttached(telemetry::IntSink& /*sink*/) {}
+  // RegisterTelemetry: register program counters under the device's
+  // prefix, after the device's own.
+  virtual void RegisterTelemetry(telemetry::Registry& /*reg*/,
+                                 const std::string& /*prefix*/) {}
 };
 
 class SwitchDevice : public sim::Node {
@@ -87,22 +102,31 @@ class SwitchDevice : public sim::Node {
   SwitchDevice(sim::Simulator* sim, sim::Network* net, std::string name,
                const AsicConfig& config);
 
-  // The program must outlive the device. May only be set once.
+  // The program must outlive the device. May only be set once; attach it
+  // before adding routes so it sees every OnRoute.
   void SetProgram(SwitchProgram* program);
 
   Resources& resources() { return resources_; }
   Pre& pre() { return pre_; }
   sim::Simulator& sim() { return *sim_; }
 
-  // Control-plane route programming (dst address → front port).
+  // Control-plane route programming (dst address → front port). The
+  // program sees every install and repoint (SwitchProgram::OnRoute).
   void AddRoute(Addr addr, int port);
-
-  // ASIC reboot semantics: every packet currently looping through the
-  // recirculation port is lost (they live in switch buffers). Programs
-  // call this from their reset paths.
-  void FlushRecirculation();
   // Returns the port for `addr`, or -1 when unrouted.
   int RouteOf(Addr addr) const;
+
+  // Degraded mode (a crashed fabric leaf, paper §3.9): while set, every
+  // packet is forwarded by route as if no program were attached, and
+  // counted in Stats::bypass_forwarded. Reset the data plane when entering
+  // bypass so no cache packet outlives the crash.
+  void set_bypass(bool on) { bypass_ = on; }
+
+  // ASIC reboot: every packet looping through the recirculation port is
+  // lost (they live in switch buffers), then the program wipes its data
+  // plane. Routes and PRE groups survive, as they would be restored from
+  // switch configuration.
+  void ResetDataPlane();
 
   void OnPacket(sim::PacketPtr pkt, int port) override;
   std::string name() const override { return name_; }
@@ -122,6 +146,7 @@ class SwitchDevice : public sim::Node {
     uint64_t tx_packets = 0;
     uint64_t dropped_by_program = 0;
     uint64_t dropped_unrouted = 0;
+    uint64_t bypass_forwarded = 0;    // forwarded by route while bypassed
     uint64_t recirc_packets = 0;      // total recirculation passes
     uint64_t recirc_drops = 0;        // recirc FIFO overflow
     uint64_t recirc_flushed = 0;      // packets lost to a reboot barrier
@@ -132,10 +157,11 @@ class SwitchDevice : public sim::Node {
   const Stats& stats() const { return stats_; }
 
   // --- Telemetry (optional; near-zero cost when unset) ---------------------
-  // Registers switch.* counters and gauges against `reg`. Reads existing
-  // Stats fields; nothing is consumed from the Resources ledger. `prefix`
-  // scopes the names for multi-switch runs (e.g. "leaf0." -> counters like
-  // "leaf0.switch.rx_packets"); the default keeps single-switch names.
+  // Registers switch.* counters and gauges against `reg`, then the
+  // program's. Reads existing Stats fields; nothing is consumed from the
+  // Resources ledger. `prefix` scopes the names for multi-switch runs (e.g.
+  // "leaf0." -> counters like "leaf0.switch.rx_packets"); the default keeps
+  // single-switch names.
   void RegisterTelemetry(telemetry::Registry& reg,
                          const std::string& prefix = "");
   // INT attachment: interns this device's hop names (<name>.pipeline,
@@ -162,6 +188,7 @@ class SwitchDevice : public sim::Node {
   void SetFlightRecorder(telemetry::FlightRecorder* recorder);
 
  private:
+  void FlushRecirculation();
   void Apply(const IngressResult& result, sim::PacketPtr pkt,
              SimTime pipe_delay);
   void SendOut(int port, sim::PacketPtr pkt, SimTime pipe_delay);
@@ -176,6 +203,7 @@ class SwitchDevice : public sim::Node {
   Resources resources_;
   Pre pre_;
   SwitchProgram* program_ = nullptr;
+  bool bypass_ = false;
 
   std::unordered_map<Addr, int> routes_;
   std::function<void(int port)> probe_ack_handler_;

@@ -12,7 +12,6 @@
 #include "fault/fault.h"
 #include "kv/partition.h"
 #include "netcache/program.h"
-#include "nocache/program.h"
 #include "orbitcache/program.h"
 #include "rmt/switch.h"
 #include "sim/network.h"
@@ -90,6 +89,18 @@ std::vector<std::string> TestbedConfig::Validate() const {
   if (topo.num_servers <= 0)
     err("topo.num_servers must be >= 1 (got " +
         std::to_string(topo.num_servers) + ")");
+  // The address plan (testbed/constants.h): client i sits at
+  // kClientBase + i, below the first server address.
+  if (topo.num_clients > static_cast<int>(kServerBase - kClientBase))
+    err("topo.num_clients must be <= " +
+        std::to_string(kServerBase - kClientBase) + " (got " +
+        std::to_string(topo.num_clients) + ") — clients take addresses " +
+        std::to_string(kClientBase) + ".." + std::to_string(kServerBase - 1) +
+        ", below the first server's");
+  if (topo.num_servers > 256)
+    err("topo.num_servers must be <= 256 (got " +
+        std::to_string(topo.num_servers) +
+        ") — a server's id travels in the one-byte SRV_ID header field");
   if (topo.client_rate_rps <= 0)
     err("topo.client_rate_rps must be > 0 — clients are open-loop and need "
         "a positive aggregate Tx rate");
@@ -167,6 +178,17 @@ std::vector<std::string> TestbedConfig::Validate() const {
   if (workload.hot_in && workload.hot_in_period <= 0)
     err("workload.hot_in_period must be > 0 when hot_in is enabled");
 
+  if (scheme == Scheme::kOrbitCache) {
+    // Every leaf routes to every host, and each route takes one clone group.
+    const int hosts = topo.num_clients + topo.num_servers +
+                      std::max(1, topo.fabric.num_racks);  // + controllers
+    if (hosts > static_cast<int>(oc::kCloneGroupCapacity))
+      err("topo.num_clients + topo.num_servers + one controller per rack = " +
+          std::to_string(hosts) + " hosts, above the " +
+          std::to_string(oc::kCloneGroupCapacity) +
+          "-entry OrbitCache clone-group table — each leaf keeps one PRE "
+          "clone group per host it routes to");
+  }
   if (scheme == Scheme::kOrbitCache && cache.orbit_cache_size == 0)
     err("cache.orbit_cache_size must be >= 1 under OrbitCache — for a run "
         "without a cache, use scheme NoCache");
@@ -262,8 +284,10 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
   auto workload = std::make_shared<ZipfWorkloadSource>(config, size_fn, dynamic);
 
   // ---- programs -----------------------------------------------------------
-  // One cache program per leaf; spines run plain forwarding, so exactly one
-  // switch on any path — the destination's leaf — applies cache logic.
+  // One cache program per leaf. Spines and NoCache leaves attach none and
+  // forward by route, so exactly one switch on any path — the
+  // destination's leaf — applies cache logic. Programs attach before any
+  // host, so every route reaches them (OrbitCache clone groups follow it).
   std::vector<std::unique_ptr<rmt::SwitchProgram>> programs;
   std::vector<oc::OrbitProgram*> orbits;  // one per leaf under OrbitCache
   std::vector<nc::NetProgram*> netps;     // one per leaf under NetCache
@@ -296,23 +320,10 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
         break;
       }
       case Scheme::kNoCache:
-        programs.push_back(std::make_unique<nocache::ForwardProgram>());
-        break;
+        continue;  // no program: the leaf forwards by route
     }
     topo.leaf(r).SetProgram(programs.back().get());
   }
-  for (int s = 0; s < spines; ++s) {
-    programs.push_back(std::make_unique<nocache::ForwardProgram>());
-    topo.spine(s).SetProgram(programs.back().get());
-  }
-
-  // Registers `addr` as a PRE clone target on every leaf, toward the local
-  // access port or the uplink carrying traffic to it.
-  auto register_clone_target = [&](Addr addr) {
-    for (size_t r = 0; r < orbits.size(); ++r)
-      orbits[r]->RegisterCloneTarget(
-          addr, topo.LeafPortFor(static_cast<int>(r), addr));
-  };
 
   // ---- servers (global index order; rack r owns a contiguous block) -------
   const bool servers_report =
@@ -348,9 +359,6 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
     ORBIT_CHECK(at.port_a == 0);
     server_links.push_back(at.link);
     servers.push_back(std::move(node));
-    // Servers are clone targets too: write-back snapshot flushes fork a
-    // cache packet toward the owning server.
-    register_clone_target(scfg.addr);
   }
 
   // ---- clients (round-robin across racks: most traffic crosses the spine)
@@ -372,7 +380,6 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
     lc.propagation = config.topo.link_delay;
     const auto at = topo.AttachHost(node.get(), ccfg.addr, i % racks, lc);
     ORBIT_CHECK(at.port_a == 0);
-    register_clone_target(ccfg.addr);
     clients.push_back(std::move(node));
   }
 
@@ -402,8 +409,6 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
     cspec.controller.orbit_port = kOrbitPort;
     fab_ctrl = std::make_unique<fabric::FabricController>(
         &sim, &net, &topo, &partitioner, server_addrs, orbits, netps, cspec);
-    for (int r = 0; r < racks; ++r)
-      register_clone_target(fab_ctrl->controller_addr(r));
   }
 
   // ---- failure detection & rerouting --------------------------------------
@@ -416,12 +421,6 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
     focfg.probe_interval = fb.probe_interval;
     focfg.detection_window = fb.detection_window;
     failover = std::make_unique<fabric::FailoverManager>(&sim, &topo, focfg);
-    // Keep PRE clone targets in lockstep with the L3 table: a rerouted
-    // address's cache packets must fork toward the new uplink.
-    failover->set_route_update_hook([&orbits](int rack, Addr addr, int port) {
-      if (!orbits.empty())
-        orbits[static_cast<size_t>(rack)]->UpdateCloneTarget(addr, port);
-    });
   }
 
   // ---- fault injection ----------------------------------------------------
@@ -430,12 +429,6 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
   // Validate() keeps every event on a target this topology has.
   std::unique_ptr<fault::FaultInjector> injector;
   if (!config.fault.events.empty()) {
-    // Wipes rack r's cache data plane, including (through the device's
-    // recirculation barrier) every orbiting cache packet.
-    const auto reset_leaf = [&orbits, &netps](int r) {
-      if (!orbits.empty()) orbits[static_cast<size_t>(r)]->ResetDataPlane();
-      if (!netps.empty()) netps[static_cast<size_t>(r)]->ResetDataPlane();
-    };
     fault::FaultHooks hooks;
     hooks.set_server_link_down = [&server_links,
                                   n = config.topo.num_servers](int s,
@@ -446,8 +439,8 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
     // A switch reset wipes every leaf's data plane; after the configured
     // delay every rack's controller rebuilds its cache from its shadow
     // copy (§3.9).
-    hooks.reset_switch = [reset_leaf, racks] {
-      for (int r = 0; r < racks; ++r) reset_leaf(r);
+    hooks.reset_switch = [&topo, racks] {
+      for (int r = 0; r < racks; ++r) topo.leaf(r).ResetDataPlane();
     };
     if (fab_ctrl != nullptr) {
       hooks.rebuild_cache = [&fab_ctrl, racks] {
@@ -478,11 +471,9 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
     // recirculation barrier retires every orbiting cache packet, then pass
     // everything through (NoCache forwarding) while the fabric controller
     // tops up the survivors (graceful degradation).
-    hooks.set_leaf_down = [&orbits, &netps, &fab_ctrl, reset_leaf](
-                              int r, bool down) {
-      if (down) reset_leaf(r);
-      if (!orbits.empty()) orbits[static_cast<size_t>(r)]->set_bypass(down);
-      if (!netps.empty()) netps[static_cast<size_t>(r)]->set_bypass(down);
+    hooks.set_leaf_down = [&topo, &fab_ctrl](int r, bool down) {
+      if (down) topo.leaf(r).ResetDataPlane();
+      topo.leaf(r).set_bypass(down);
       if (fab_ctrl == nullptr) return;
       if (down)
         fab_ctrl->OnLeafDown(r);
@@ -540,15 +531,12 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
           });
     }
     registry = std::make_unique<telemetry::Registry>();
-    // Switch-scope counters get per-leaf / per-spine prefixes on a fabric;
-    // the single ToR keeps unprefixed names.
+    // Switch-scope counters (a leaf's program counters included) get
+    // per-leaf / per-spine prefixes on a fabric; the single ToR keeps
+    // unprefixed names.
     for (int r = 0; r < racks; ++r) {
       const std::string scope = single_tor ? "" : topo.leaf(r).name() + ".";
       topo.leaf(r).RegisterTelemetry(*registry, scope);
-      if (!orbits.empty())
-        orbits[static_cast<size_t>(r)]->RegisterTelemetry(*registry, scope);
-      if (!netps.empty())
-        netps[static_cast<size_t>(r)]->RegisterTelemetry(*registry, scope);
     }
     for (int s = 0; s < spines; ++s)
       topo.spine(s).RegisterTelemetry(*registry, topo.spine(s).name() + ".");

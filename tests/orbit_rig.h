@@ -66,9 +66,11 @@ class Rig {
     program_ = std::make_unique<oc::OrbitProgram>(&sw_, config.orbit);
     sw_.SetProgram(program_.get());
 
+    // Every AddRoute also points the address's PRE clone group at its port
+    // (clients get replies, servers snapshot-flush forks, the controller
+    // fetch acks).
     auto c = net_.Connect(&client_, &sw_, sim::LinkConfig{});
     sw_.AddRoute(kClientAddr, c.port_b);
-    program_->RegisterCloneTarget(kClientAddr, c.port_b);
 
     for (int i = 0; i < config.num_servers; ++i) {
       app::ServerConfig scfg;
@@ -84,7 +86,6 @@ class Rig {
       slink.loss_seed = config.server_link.loss_seed + static_cast<uint64_t>(i);
       auto s = net_.Connect(servers_.back().get(), &sw_, slink);
       sw_.AddRoute(scfg.addr, s.port_b);
-      program_->RegisterCloneTarget(scfg.addr, s.port_b);  // snapshot forks
       server_addrs_.push_back(scfg.addr);
     }
 
@@ -94,12 +95,10 @@ class Rig {
           kControllerAddr, 0, config.controller);
       auto k = net_.Connect(controller_.get(), &sw_, sim::LinkConfig{});
       sw_.AddRoute(kControllerAddr, k.port_b);
-      program_->RegisterCloneTarget(kControllerAddr, k.port_b);
     } else {
       // Route fetch acks somewhere harmless.
       auto k = net_.Connect(&client_, &sw_, sim::LinkConfig{});
       sw_.AddRoute(kControllerAddr, k.port_b);
-      program_->RegisterCloneTarget(kControllerAddr, k.port_b);
     }
   }
 

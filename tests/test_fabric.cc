@@ -15,7 +15,6 @@
 #include "fault/fault.h"
 #include "harness/metrics.h"
 #include "harness/runner.h"
-#include "nocache/program.h"
 #include "proto/message.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
@@ -332,10 +331,7 @@ TEST(FabricTopologyTest, EqualTimeSendsKeepFifoOrderAcrossSpineHops) {
   tspec.num_racks = 2;
   tspec.num_spines = 1;
   fabric::FabricTopology topo(&sim, &net, tspec);
-  nocache::ForwardProgram fwd0, fwd1, fwd_spine;
-  topo.leaf(0).SetProgram(&fwd0);
-  topo.leaf(1).SetProgram(&fwd1);
-  topo.spine(0).SetProgram(&fwd_spine);
+  // No switch runs a program: every hop forwards by route.
 
   SinkNode sender(&sim, "sender"), receiver(&sim, "receiver");
   const Addr kSender = 1, kReceiver = 2;

@@ -13,7 +13,6 @@
 
 #include "common/hash.h"
 #include "fabric/topology.h"
-#include "nocache/program.h"
 #include "proto/message.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
@@ -260,11 +259,7 @@ TEST(FabricBurstLoss, UplinksLoseInBurstsWithPerLinkDecorrelation) {
   tspec.uplink.burst_loss.loss_bad = 1.0;
   tspec.uplink.loss_seed = 7;
   fabric::FabricTopology topo(&sim, &net, tspec);
-  nocache::ForwardProgram fwd[4];
-  topo.leaf(0).SetProgram(&fwd[0]);
-  topo.leaf(1).SetProgram(&fwd[1]);
-  topo.spine(0).SetProgram(&fwd[2]);
-  topo.spine(1).SetProgram(&fwd[3]);
+  // No switch runs a program: every hop forwards by route.
 
   SeqSink sender("sender"), even("even"), odd("odd");
   const Addr kSender = 10, kEven = 4, kOdd = 5;

@@ -76,7 +76,7 @@ TEST(Failures, SwitchResetWipesDataPlane) {
   rig.CacheAndFetch(key, 0);
   ASSERT_EQ(rig.sw().stats().recirc_in_flight, 1);
 
-  rig.program().ResetDataPlane();
+  rig.sw().ResetDataPlane();
   rig.Settle();
   EXPECT_EQ(rig.program().num_entries(), 0u);
   EXPECT_EQ(rig.sw().stats().recirc_in_flight, 0)
@@ -104,7 +104,7 @@ TEST(Failures, ControllerRebuildsCacheAfterSwitchReset) {
   ASSERT_EQ(rig.sw().stats().recirc_in_flight, 3);
 
   // Crash and reboot the ASIC, then let the controller restore state.
-  rig.program().ResetDataPlane();
+  rig.sw().ResetDataPlane();
   rig.Settle();
   ASSERT_EQ(rig.sw().stats().recirc_in_flight, 0);
   rig.controller().RebuildCache();
@@ -134,7 +134,7 @@ TEST(Failures, BufferedRequestsLostInResetAreNotAnsweredTwice) {
   // Plant a pending request, then crash before its next service pass.
   rig.program().request_table().TryEnqueue(
       0, RequestMeta{testrig::kClientAddr, 9000, 42, rig.sim().now()});
-  rig.program().ResetDataPlane();
+  rig.sw().ResetDataPlane();
   rig.Settle();
   EXPECT_EQ(rig.FindReply(42), nullptr);
   // Re-cache and serve normally.

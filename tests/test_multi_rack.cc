@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "apps/server.h"
-#include "nocache/program.h"
 #include "orbitcache/program.h"
 #include "rmt/switch.h"
 #include "sim/network.h"
@@ -51,7 +50,6 @@ class MultiRackRig {
     prog2_ = std::make_unique<OrbitProgram>(&tor2_, ocfg);
     tor1_.SetProgram(prog1_.get());
     tor2_.SetProgram(prog2_.get());
-    spine_.SetProgram(&fwd_);
 
     app::ServerConfig s1;
     s1.addr = kSrv1Addr;
@@ -73,7 +71,9 @@ class MultiRackRig {
     // The controller (fetch-ack sink) lives in rack 1.
     auto k = net_.Connect(&ctrl_, &tor1_, sim::LinkConfig{});
 
-    // tor1: local addrs direct, everything else via the spine uplink.
+    // tor1: local addrs direct, everything else via the spine uplink. A
+    // ToR's routes double as its clone targets, so tor1 forks cache
+    // packets to the client and controller directly, tor2 via its uplink.
     tor1_.AddRoute(kClientAddr, c.port_b);
     tor1_.AddRoute(kSrv1Addr, a.port_b);
     tor1_.AddRoute(kSrv2Addr, u1.port_a);
@@ -88,13 +88,6 @@ class MultiRackRig {
     spine_.AddRoute(kSrv1Addr, u1.port_b);
     spine_.AddRoute(kCtrlAddr, u1.port_b);  // controller ack sink in rack 1
     spine_.AddRoute(kSrv2Addr, u2.port_b);
-
-    // Clone targets: tor1 reaches the client and controller directly;
-    // tor2 reaches both through its uplink.
-    prog1_->RegisterCloneTarget(kClientAddr, c.port_b);
-    prog1_->RegisterCloneTarget(kCtrlAddr, k.port_b);
-    prog2_->RegisterCloneTarget(kClientAddr, u2.port_a);
-    prog2_->RegisterCloneTarget(kCtrlAddr, u2.port_a);
   }
 
   void SendRead(const Key& key, uint32_t seq, Addr server) {
@@ -130,8 +123,7 @@ class MultiRackRig {
 
   sim::Simulator sim_;
   sim::Network net_;
-  rmt::SwitchDevice tor1_, tor2_, spine_;
-  nocache::ForwardProgram fwd_;
+  rmt::SwitchDevice tor1_, tor2_, spine_;  // the spine runs no program
   Catcher client_;
   Catcher ctrl_{&sim_};
   std::unique_ptr<OrbitProgram> prog1_, prog2_;

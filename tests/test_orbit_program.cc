@@ -51,6 +51,33 @@ TEST(OrbitProgram, CachedReadServedBySwitchWithoutServer) {
   EXPECT_EQ(rig.program().stats().served_by_cache, 1u);
 }
 
+TEST(OrbitProgram, CloneGroupFollowsTheRoute) {
+  // The rig never calls RegisterCloneTarget: the client's clone group
+  // comes from its route, and a repointed route moves it.
+  Rig rig(SmallRig());
+  const Key key = "hot-key-00000000";
+  rig.CacheAndFetch(key, 0);
+  rig.SendRead(key, 1);
+  rig.Settle();
+  ASSERT_NE(rig.FindReply(1), nullptr);
+  EXPECT_EQ(rig.FindReply(1)->msg.cached, 1);
+  ASSERT_EQ(rig.sw().stats().recirc_in_flight, 1);
+
+  Rig::ClientPort moved(&rig.sim());
+  const int other_port =
+      rig.net().Connect(&moved, &rig.sw(), sim::LinkConfig{}).port_b;
+  rig.sw().AddRoute(testrig::kClientAddr, other_port);
+  rig.SendRead(key, 2);
+  rig.Settle();
+  EXPECT_EQ(rig.FindReply(2), nullptr) << "the old port sees no reply";
+  ASSERT_EQ(moved.replies.size(), 1u);
+  EXPECT_EQ(moved.replies[0].msg.seq, 2u);
+  EXPECT_EQ(moved.replies[0].msg.cached, 1) << "served by the switch";
+  EXPECT_EQ(rig.sw().stats().recirc_in_flight, 1)
+      << "the cache packet keeps orbiting";
+  EXPECT_EQ(rig.program().stats().served_by_cache, 2u);
+}
+
 TEST(OrbitProgram, OneCachePacketServesManyRequests) {
   // The PRE-clone property (§3.5): a single fetch serves any number of
   // subsequent requests.

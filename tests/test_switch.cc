@@ -28,7 +28,7 @@ class Recorder : public sim::Node {
   sim::Simulator* sim_;
 };
 
-// A programmable stub: maps seq -> action.
+// A programmable stub: maps seq -> action, and counts the device's calls.
 class StubProgram : public SwitchProgram {
  public:
   IngressResult Ingress(sim::Packet& pkt, SwitchDevice&) override {
@@ -38,11 +38,14 @@ class StubProgram : public SwitchProgram {
     if (it == plan.end()) return IngressResult::ToAddr(pkt.dst);
     return it->second;
   }
-  std::string program_name() const override { return "stub"; }
+  void OnRoute(Addr addr, int port) override { routes.push_back({addr, port}); }
+  void ResetDataPlane() override { ++resets; }
 
   std::unordered_map<uint32_t, IngressResult> plan;
   int invocations = 0;
   bool last_from_recirc = false;
+  std::vector<std::pair<Addr, int>> routes;
+  int resets = 0;
 };
 
 class SwitchTest : public ::testing::Test {
@@ -156,6 +159,52 @@ TEST_F(SwitchTest, MulticastToUnknownGroupDrops) {
   net_.Send(&a_, 0, Pkt(5));
   sim_.RunToCompletion();
   EXPECT_EQ(sw_.stats().dropped_unrouted, 1u);
+}
+
+TEST_F(SwitchTest, AddRouteNotifiesTheProgram) {
+  EXPECT_EQ(program_.routes, (std::vector<std::pair<Addr, int>>{
+                                 {1, port_a_}, {2, port_b_}}));
+  sw_.AddRoute(2, port_a_);  // a reroute is reported too
+  EXPECT_EQ(program_.routes.back(), (std::pair<Addr, int>{2, port_a_}));
+  EXPECT_EQ(sw_.RouteOf(2), port_a_);
+}
+
+TEST_F(SwitchTest, BypassSkipsTheProgram) {
+  program_.plan[5] = IngressResult::Drop();
+  sw_.set_bypass(true);
+  net_.Send(&a_, 0, Pkt(5));
+  net_.Send(&a_, 0, Pkt(6));
+  sim_.RunToCompletion();
+  EXPECT_EQ(program_.invocations, 0);
+  ASSERT_EQ(b_.arrivals.size(), 2u) << "bypassed packets leave by route";
+  EXPECT_EQ(sw_.stats().bypass_forwarded, 2u);
+  EXPECT_EQ(sw_.stats().dropped_by_program, 0u);
+
+  sw_.set_bypass(false);
+  net_.Send(&a_, 0, Pkt(5));
+  sim_.RunToCompletion();
+  EXPECT_EQ(program_.invocations, 1) << "clearing bypass brings it back";
+  EXPECT_EQ(b_.arrivals.size(), 2u);
+  EXPECT_EQ(sw_.stats().dropped_by_program, 1u);
+  EXPECT_EQ(sw_.stats().bypass_forwarded, 2u);
+}
+
+TEST_F(SwitchTest, ResetDataPlaneFlushesTheLoopAndResetsTheProgram) {
+  program_.plan[5] = IngressResult::Recirculate();
+  net_.Send(&a_, 0, Pkt(5));
+  sim_.RunUntil(10 * kMicrosecond);
+  ASSERT_EQ(sw_.stats().recirc_in_flight, 1);
+  const int passes = program_.invocations;
+
+  sw_.ResetDataPlane();
+  EXPECT_EQ(program_.resets, 1);
+  EXPECT_EQ(sw_.stats().recirc_in_flight, 0);
+  sim_.RunToCompletion();  // terminates: the looping packet is gone
+  EXPECT_EQ(sw_.stats().recirc_flushed, 1u);
+  EXPECT_EQ(program_.invocations, passes)
+      << "a flushed packet never reaches the program again";
+  EXPECT_TRUE(b_.arrivals.empty());
+  EXPECT_EQ(program_.resets, 1);
 }
 
 TEST_F(SwitchTest, ProgramCanOnlyBeAttachedOnce) {

@@ -118,6 +118,43 @@ TEST(TelemetryTestbed, InstrumentationIsResultsNeutral) {
   EXPECT_FALSE(cap.flight_dump.empty());
 }
 
+// value.bytes holds one sample per reply that a server sends or a cache
+// serves: a switch that only forwards a reply (a NoCache ToR, a spine, a
+// leaf on the reply's way out) records nothing.
+void ExpectOneValueSamplePerReply(testbed::TestbedConfig cfg) {
+  telemetry::RunCapture cap;
+  cfg.telemetry.capture = &cap;
+  cfg.telemetry.histograms = true;
+  testbed::RunTestbed(cfg);
+
+  auto ends_with = [](const std::string& s, const std::string& suffix) {
+    return s.size() >= suffix.size() &&
+           s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+  };
+  ASSERT_FALSE(cap.snapshots.empty());
+  uint64_t replies = 0;
+  for (const auto& [name, v] : cap.snapshots.back().counters) {
+    if ((name.rfind("server.", 0) == 0 && ends_with(name, ".replies")) ||
+        ends_with(name, "orbit.served_by_cache") ||
+        ends_with(name, "netcache.served_by_cache"))
+      replies += v;
+  }
+  const auto it = std::find_if(
+      cap.int_capture.hists.begin(), cap.int_capture.hists.end(),
+      [](const telemetry::HistSnapshot& h) { return h.name == "value.bytes"; });
+  ASSERT_NE(it, cap.int_capture.hists.end());
+  EXPECT_GT(replies, 0u);
+  EXPECT_EQ(it->count, replies) << testbed::SchemeName(cfg.scheme);
+}
+
+TEST(TelemetryTestbed, ValueBytesCountsEachReplyOnce) {
+  ExpectOneValueSamplePerReply(TinyConfig(testbed::Scheme::kNoCache));
+  testbed::TestbedConfig fabric = TinyConfig(testbed::Scheme::kOrbitCache);
+  fabric.topo.fabric.num_racks = 2;
+  fabric.topo.fabric.num_spines = 1;
+  ExpectOneValueSamplePerReply(fabric);
+}
+
 // Parses a Chrome export and returns its events, metadata rows included.
 std::vector<JsonValue> ChromeEvents(const telemetry::RunCapture& cap) {
   JsonValue doc;

@@ -195,6 +195,47 @@ TEST(TestbedValidate, EmptyOrbitCacheIsRejected) {
   EXPECT_TRUE(cfg.Validate().empty());
 }
 
+TEST(TestbedValidate, ClientsBeyondTheAddressPlanAreRejected) {
+  // Client i sits at 1000 + i; client 1000 would take server 0's address.
+  // (NoCache: OrbitCache's clone-group table caps the hosts lower.)
+  TestbedConfig cfg;
+  cfg.scheme = Scheme::kNoCache;
+  cfg.topo.num_clients = 1000;
+  EXPECT_TRUE(cfg.Validate().empty());
+  cfg.topo.num_clients = 1001;
+  const auto errors = cfg.Validate();
+  EXPECT_TRUE(HasErrorMentioning(errors, "num_clients"));
+  EXPECT_TRUE(HasErrorMentioning(errors, "1001"))
+      << "the message must quote the offending value";
+}
+
+TEST(TestbedValidate, ServersBeyondTheOneByteIdAreRejected) {
+  TestbedConfig cfg;
+  cfg.scheme = Scheme::kNoCache;
+  cfg.topo.num_servers = 256;
+  EXPECT_TRUE(cfg.Validate().empty());
+  cfg.topo.num_servers = 300;
+  const auto errors = cfg.Validate();
+  EXPECT_TRUE(HasErrorMentioning(errors, "num_servers"));
+  EXPECT_TRUE(HasErrorMentioning(errors, "300"));
+  EXPECT_TRUE(HasErrorMentioning(errors, "SRV_ID"))
+      << "the message must name the limiting header field";
+}
+
+TEST(TestbedValidate, OrbitCacheHostsBeyondTheCloneTableAreRejected) {
+  // One clone group per client, server and controller: 250 + 5 + 1 fits
+  // the 256-entry table, one more client does not.
+  TestbedConfig cfg;
+  cfg.topo.num_clients = 250;
+  cfg.topo.num_servers = 5;
+  EXPECT_TRUE(cfg.Validate().empty());
+  cfg.topo.num_clients = 251;
+  EXPECT_TRUE(HasErrorMentioning(cfg.Validate(), "clone-group"));
+  // NoCache and NetCache keep no clone groups.
+  cfg.scheme = Scheme::kNoCache;
+  EXPECT_TRUE(cfg.Validate().empty());
+}
+
 TEST(TestbedValidate, TimelineBinBeyondDurationIsRejected) {
   TestbedConfig cfg;
   cfg.duration = 100 * kMillisecond;

@@ -157,7 +157,7 @@ TEST(WriteBack, SnapshotBoundsCrashLoss) {
   rig.SendWrite(key, 2, 64);  // v3, post-snapshot (would be lost)
   rig.Settle();
 
-  rig.program().ResetDataPlane();  // crash
+  rig.sw().ResetDataPlane();  // crash
   rig.Settle();
   auto stored = rig.ServerFor(key).store().Get(key);
   ASSERT_TRUE(stored.has_value());
