@@ -287,10 +287,9 @@ int main(int argc, char** argv) {
     }
 
     if (violations > 0 || verbose) {
-      std::printf("point %d seed %llu [%s]: %s\n", i,
-                  static_cast<unsigned long long>(base_seed),
-                  testbed::ConfigFingerprint(cfg).c_str(), outcome.c_str());
-      std::printf("  config: %s\n", testbed::ConfigJson(cfg).Dump().c_str());
+      std::printf("point %d seed %llu: %s\n  config: %s\n", i,
+                  static_cast<unsigned long long>(base_seed), outcome.c_str(),
+                  testbed::ConfigJson(cfg).Dump().c_str());
     }
     if (violations > 0) {
       ++failures;

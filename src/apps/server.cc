@@ -201,23 +201,24 @@ void ServerNode::Reply(const sim::Packet& req) {
   msg.cached = 0;
   msg.latency = req.msg.latency;
 
-  const uint32_t budget =
-      proto::kMaxPayloadBytes - static_cast<uint32_t>(msg.key.size());
+  const uint32_t budget = proto::ValueBudget(msg.key.size());
   const uint32_t size = msg.value.size();
   uint8_t frag_total = 1;
   if (size > budget) {
-    ORBIT_CHECK_MSG(config_.multi_packet,
-                    name() << ": value of " << size
-                           << "B exceeds one packet and multi-packet "
-                              "support is disabled");
+    ORBIT_CHECK_MSG(config_.multi_packet && budget > 0,
+                    name() << ": value of " << size << "B beside a "
+                           << msg.key.size()
+                           << "B key exceeds one packet and multi-packet "
+                              "support is disabled or has no room");
     // Compute in 32 bits first: frag_index/frag_total are uint8_t on the
     // wire, so a value needing more than 255 fragments is unrepresentable
     // and must fail loudly instead of truncating the count.
     const uint32_t frags = (size + budget - 1) / budget;
-    ORBIT_CHECK_MSG(frags <= 255,
+    ORBIT_CHECK_MSG(frags <= proto::kMaxFragments,
                     name() << ": value of " << size << "B needs " << frags
-                           << " fragments, above the 255-fragment wire "
-                              "format limit");
+                           << " fragments, above the "
+                           << proto::kMaxFragments
+                           << "-fragment wire format limit");
     frag_total = static_cast<uint8_t>(frags);
   }
 

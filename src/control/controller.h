@@ -135,6 +135,10 @@ class CacheController : public sim::Node, public sim::TimerHandler {
   bool Evict(const Key& key, bool erase_entry);
   void SendFetch(const Key& key, const Hash128& hkey, Addr server);
 
+  // The core's timer arguments; a scheme's own timers pick others.
+  static constexpr uint64_t kTickArg = 0;
+  static constexpr uint64_t kRebuildSweepArg = 1;
+
   sim::Simulator* sim_;
   ControllerConfig config_;
   Stats stats_;
@@ -153,9 +157,6 @@ class CacheController : public sim::Node, public sim::TimerHandler {
     int attempts = 0;
     SimTime deadline = 0;
   };
-
-  static constexpr uint64_t kTickArg = 0;
-  static constexpr uint64_t kRebuildSweepArg = 1;
 
   // Installs the uncached admissible `keys` in order while fewer than
   // `limit` are cached; returns how many went in.

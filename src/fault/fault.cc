@@ -324,9 +324,27 @@ FaultInjector::FaultInjector(sim::Simulator* sim,
 }
 
 void FaultInjector::Arm() {
-  for (const FaultEvent& ev : schedule_.events) {
-    ORBIT_CHECK_MSG(ev.at >= sim_->now(), "fault scheduled in the past");
-    sim_->At(ev.at, [this, ev] { Fire(ev); });
+  for (size_t i = 0; i < schedule_.events.size(); ++i) {
+    ORBIT_CHECK_MSG(schedule_.events[i].at >= sim_->now(),
+                    "fault scheduled in the past");
+    sim_->AtTimer(schedule_.events[i].at, this, i);
+  }
+}
+
+void FaultInjector::OnTimer(uint64_t arg) {
+  if (arg == kRebuildCacheArg) {
+    ++stats_.cache_rebuilds;
+    ++stats_.injected;
+    if (int_ != nullptr) int_->Mark(sim_->now(), "cache_rebuild", 0);
+    hooks_.rebuild_cache();
+  } else if (arg >= kRebuildLeafTag) {
+    const uint64_t rack = arg - kRebuildLeafTag;
+    ++stats_.leaf_rebuilds;
+    ++stats_.injected;
+    if (int_ != nullptr) int_->Mark(sim_->now(), "leaf_rebuild", rack);
+    hooks_.rebuild_leaf(static_cast<int>(rack));
+  } else {
+    Fire(schedule_.events[arg]);
   }
 }
 
@@ -365,14 +383,9 @@ void FaultInjector::Fire(const FaultEvent& ev) {
       if (hooks_.reset_switch) hooks_.reset_switch();
       // The controller notices the wipe and reinstalls its shadow copy
       // after the detection + reinstall delay.
-      if (hooks_.rebuild_cache) {
-        sim_->After(schedule_.switch_rebuild_delay, [this] {
-          ++stats_.cache_rebuilds;
-          ++stats_.injected;
-          if (int_ != nullptr) int_->Mark(sim_->now(), "cache_rebuild", 0);
-          hooks_.rebuild_cache();
-        });
-      }
+      if (hooks_.rebuild_cache)
+        sim_->AfterTimer(schedule_.switch_rebuild_delay, this,
+                         kRebuildCacheArg);
       break;
     case FaultKind::kCtrlDown:
       ++stats_.ctrl_transitions;
@@ -408,17 +421,9 @@ void FaultInjector::Fire(const FaultEvent& ev) {
       // The fabric controller notices the restart and reinstalls rack r's
       // cache after the detection + reinstall delay (same model as the
       // single-switch reset path).
-      if (hooks_.rebuild_leaf) {
-        const int rack = ev.rack;
-        sim_->After(schedule_.switch_rebuild_delay, [this, rack] {
-          ++stats_.leaf_rebuilds;
-          ++stats_.injected;
-          if (int_ != nullptr)
-            int_->Mark(sim_->now(), "leaf_rebuild",
-                       static_cast<uint64_t>(rack));
-          hooks_.rebuild_leaf(rack);
-        });
-      }
+      if (hooks_.rebuild_leaf)
+        sim_->AfterTimer(schedule_.switch_rebuild_delay, this,
+                         kRebuildLeafTag + static_cast<uint64_t>(ev.rack));
       break;
     case FaultKind::kSpineCrash:
       ++stats_.spine_transitions;

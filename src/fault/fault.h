@@ -5,8 +5,8 @@
 // channel loss — plus an optional Gilbert–Elliott burst-loss model layered
 // onto every server link. The schedule is pure data (it serializes into
 // the config fingerprint); `FaultInjector` binds it to a live testbed via
-// a small hook table and schedules one simulator event per fault, so two
-// runs of the same seeded config inject byte-identical faults.
+// a small hook table and arms one simulator timer per fault, so two runs
+// of the same seeded config inject byte-identical faults.
 //
 // Fault taxonomy (docs/FAULTS.md has the full story):
 //   kServerCrash / kServerRestart — the server's access link goes down/up;
@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "sim/event_queue.h"
 #include "sim/link.h"
 
 namespace orbit::sim {
@@ -155,11 +156,11 @@ struct FaultHooks {
 };
 
 // Binds a schedule to a live simulation: Arm() turns every FaultEvent into
-// a simulator event that fires the matching hook (a switch reset also
-// schedules the rebuild `switch_rebuild_delay` later). Keeps per-kind
-// injection counts and optionally emits telemetry counters ("fault.*")
-// and run-level marks in the hop-event stream.
-class FaultInjector {
+// a simulator timer that fires the matching hook (a switch reset or a leaf
+// restart also arms the rebuild `switch_rebuild_delay` later). Keeps
+// per-kind injection counts and optionally emits telemetry counters
+// ("fault.*") and run-level marks in the hop-event stream.
+class FaultInjector : public sim::TimerHandler {
  public:
   struct Stats {
     uint64_t injected = 0;  // total hook firings (rebuild counts as one)
@@ -179,9 +180,15 @@ class FaultInjector {
 
   FaultInjector(sim::Simulator* sim, const FaultSchedule& schedule,
                 FaultHooks hooks);
+  // Armed timers hold the injector's address.
+  FaultInjector(const FaultInjector&) = delete;
+  FaultInjector& operator=(const FaultInjector&) = delete;
 
   // Schedules every event; call once, before the run starts.
   void Arm();
+  // Timer demux: a schedule index fires that event; the rebuild arguments
+  // below fire the delayed cache or leaf rebuild.
+  void OnTimer(uint64_t arg) override;
 
   const Stats& stats() const { return stats_; }
 
@@ -196,6 +203,11 @@ class FaultInjector {
   void SetFlightRecorder(telemetry::FlightRecorder* recorder);
 
  private:
+  // Rebuild timers tag the high word; a leaf rebuild carries its rack in
+  // the low word. Schedule indices stay below both tags.
+  static constexpr uint64_t kRebuildCacheArg = uint64_t{1} << 32;
+  static constexpr uint64_t kRebuildLeafTag = uint64_t{2} << 32;
+
   void Fire(const FaultEvent& ev);
   void Note(FaultKind kind, int server);
 

@@ -28,20 +28,30 @@ std::string MergedChromeTrace(
   return telemetry::ChromeTraceJson(processes);
 }
 
+namespace {
+
+// Shared record-identity prefix so counter, INT and hist lines join
+// against record JSONL on (experiment, point, rep).
+JsonValue IdentityLine(const MetricsRecord& record) {
+  JsonValue line = JsonValue::MakeObject();
+  line.Set("experiment", record.experiment);
+  line.Set("point", record.point);
+  line.Set("rep", record.rep);
+  JsonValue params = JsonValue::MakeObject();
+  for (const auto& [name, value] : record.params) params.Set(name, value);
+  line.Set("params", std::move(params));
+  return line;
+}
+
+}  // namespace
+
 std::string CountersJsonl(const std::vector<MetricsRecord>& records,
                           const std::vector<telemetry::RunCapture>& captures) {
   ORBIT_CHECK(records.size() == captures.size());
   std::string out;
   for (size_t i = 0; i < records.size(); ++i) {
-    const MetricsRecord& record = records[i];
     for (const telemetry::Snapshot& snap : captures[i].snapshots) {
-      JsonValue line = JsonValue::MakeObject();
-      line.Set("experiment", record.experiment);
-      line.Set("point", record.point);
-      line.Set("rep", record.rep);
-      JsonValue params = JsonValue::MakeObject();
-      for (const auto& [name, value] : record.params) params.Set(name, value);
-      line.Set("params", std::move(params));
+      JsonValue line = IdentityLine(records[i]);
       line.Set("t_ns", static_cast<int64_t>(snap.at));
       JsonValue counters = JsonValue::MakeObject();
       for (const auto& [name, value] : snap.counters)
@@ -56,23 +66,6 @@ std::string CountersJsonl(const std::vector<MetricsRecord>& records,
   }
   return out;
 }
-
-namespace {
-
-// Shared record-identity prefix so INT/hist lines join against record and
-// counter JSONL on (experiment, point, rep).
-JsonValue IdentityLine(const MetricsRecord& record) {
-  JsonValue line = JsonValue::MakeObject();
-  line.Set("experiment", record.experiment);
-  line.Set("point", record.point);
-  line.Set("rep", record.rep);
-  JsonValue params = JsonValue::MakeObject();
-  for (const auto& [name, value] : record.params) params.Set(name, value);
-  line.Set("params", std::move(params));
-  return line;
-}
-
-}  // namespace
 
 std::string IntJsonl(const std::vector<MetricsRecord>& records,
                      const std::vector<telemetry::RunCapture>& captures) {

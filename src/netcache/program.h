@@ -104,7 +104,6 @@ class NetProgram : public rmt::SwitchProgram {
     uint64_t request_recircs = 0;  // recirc-read strawman passes
   };
   const Stats& stats() const { return stats_; }
-  void ResetStats() { stats_ = Stats{}; }
 
   const NetConfig& config() const { return config_; }
 

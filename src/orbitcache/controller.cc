@@ -1,6 +1,7 @@
 #include "orbitcache/controller.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 
@@ -57,12 +58,20 @@ void Controller::AdjustCacheSize() {
 
 void Controller::RequestRefetch(const Key& key, const Hash128& hkey,
                                 Addr server) {
-  // Scheduled after the CPU turnaround; retries ride the normal timeout
+  // Sent after the CPU turnaround; retries ride the normal timeout
   // machinery.
-  sim_->After(kCpuDelay, [this, key, hkey, server] {
-    if (!IsCached(key)) return;  // evicted meanwhile
-    SendFetch(key, hkey, server);
-  });
+  refetches_.push_back({key, hkey, server});
+  sim_->AfterTimer(kCpuDelay, this, kRefetchArg);
+}
+
+void Controller::OnTimer(uint64_t arg) {
+  if (arg != kRefetchArg) {
+    CacheController::OnTimer(arg);
+    return;
+  }
+  const Refetch r = std::move(refetches_.front());
+  refetches_.pop_front();
+  if (IsCached(r.key)) SendFetch(r.key, r.hkey, r.server);  // else evicted
 }
 
 }  // namespace orbit::oc

@@ -4,6 +4,7 @@
 // cache sizing and write-back snapshots and the no-cloning refetch.
 #pragma once
 
+#include <deque>
 #include <string>
 
 #include "control/controller.h"
@@ -20,8 +21,17 @@ class Controller : public ctrl::CacheController {
              const ctrl::ControllerConfig& config);
 
   std::string name() const override { return "controller"; }
+  // The refetch timer, else the core's timers.
+  void OnTimer(uint64_t arg) override;
 
  private:
+  struct Refetch {
+    Key key;
+    Hash128 hkey;
+    Addr server = kInvalidAddr;
+  };
+  static constexpr uint64_t kRefetchArg = kRebuildSweepArg + 1;
+
   bool InsertEntry(const Key&, const Hash128& hkey, uint32_t idx) override {
     return program_->InsertEntry(hkey, idx);
   }
@@ -39,6 +49,9 @@ class Controller : public ctrl::CacheController {
 
   OrbitProgram* program_;
   SimTime last_snapshot_ = 0;
+  // Requested refetches in request order. Every one waits the same CPU
+  // turnaround, so their timers fire in this order too.
+  std::deque<Refetch> refetches_;
 };
 
 }  // namespace orbit::oc

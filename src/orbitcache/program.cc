@@ -258,7 +258,7 @@ IngressResult OrbitProgram::HandleWriteRequest(sim::Packet& pkt) {
                                         : "write_cached:write_through");
 
   if (config_.write_back && valid_.at(idx) != 0 &&
-      pkt.msg.value.size() <= proto::kMaxPayloadBytes - pkt.msg.key.size()) {
+      pkt.msg.value.size() <= proto::ValueBudget(pkt.msg.key.size())) {
     // Write-back extension (§3.10): the switch absorbs the write. The
     // packet is rewritten into reply form and multicast — the client copy
     // is the W-REP, the recirculating copy is the new (dirty) cache packet

@@ -162,7 +162,6 @@ class OrbitProgram : public rmt::SwitchProgram {
     uint64_t wb_snapshot_flushes = 0;  // write-back: snapshot flushes
   };
   const Stats& stats() const { return stats_; }
-  void ResetStats() { stats_ = Stats{}; }
 
  private:
   // RegisterCloneTarget: a rerouted address's cache packets fork toward

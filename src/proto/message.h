@@ -88,4 +88,15 @@ constexpr uint32_t kEncapBytes = 46;
 constexpr uint32_t kMaxOrbitBytes = 1472;
 constexpr uint32_t kMaxPayloadBytes = kMaxOrbitBytes - Message::kHeaderBytes;
 
+// Value bytes one packet carries beside a `key_bytes` key; 0 when the key
+// alone fills the payload.
+constexpr uint32_t ValueBudget(size_t key_bytes) {
+  return key_bytes < kMaxPayloadBytes
+             ? kMaxPayloadBytes - static_cast<uint32_t>(key_bytes)
+             : 0;
+}
+
+// A multi-packet item's fragment count rides in the one-byte frag_total.
+constexpr uint32_t kMaxFragments = 255;
+
 }  // namespace orbit::proto

@@ -21,8 +21,10 @@ Event& EventQueue::Append(SimTime t) {
     idx = static_cast<uint32_t>(buckets_.size());
     buckets_.emplace_back();
   }
-  heap_.push_back(Entry{t, next_bucket_seq_++, idx});
-  SiftUp(heap_.size() - 1);
+  if (heap_size_ == heap_.size())
+    heap_.resize(std::max<size_t>(64, 2 * heap_.size()));
+  heap_[heap_size_] = Entry{t, next_bucket_seq_++, idx};
+  SiftUp(heap_size_++);
   cache_valid_ = true;
   cache_time_ = t;
   cache_bucket_ = idx;
@@ -45,12 +47,6 @@ void EventQueue::PushTimer(SimTime t, TimerHandler* timer, uint64_t arg) {
   e.arg = arg;
 }
 
-void EventQueue::PushCallback(SimTime t, std::function<void()> fn) {
-  Event& e = Append(t);
-  e.time = t;
-  e.fn = std::move(fn);
-}
-
 SimTime EventQueue::next_time() const {
   ORBIT_CHECK_MSG(size_ != 0, "next_time() on an empty event queue");
   return heap_.front().time;
@@ -70,12 +66,9 @@ Event EventQueue::Pop() {
     b.head = 0;
     free_buckets_.push_back(top.bucket);
     if (cache_valid_ && cache_bucket_ == top.bucket) cache_valid_ = false;
-    if (heap_.size() > 1) {
-      heap_.front() = heap_.back();
-      heap_.pop_back();
+    if (--heap_size_ > 0) {
+      heap_.front() = heap_[heap_size_];
       SiftDown(0);
-    } else {
-      heap_.pop_back();
     }
   }
   return e;
@@ -93,7 +86,7 @@ void EventQueue::SiftUp(size_t i) {
 }
 
 void EventQueue::SiftDown(size_t i) {
-  const size_t n = heap_.size();
+  const size_t n = heap_size_;
   const Entry e = heap_[i];
   for (;;) {
     const size_t first = 4 * i + 1;

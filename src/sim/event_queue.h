@@ -1,12 +1,13 @@
 // The simulator's event queue.
 //
-// Three event shapes cover the whole system:
+// Two event shapes cover the whole system, as in the paper's testbed, where
+// every action is a packet reaching a port or a timer firing (§3.8–3.9):
 //   * packet deliveries (the hot path: millions per run) carry their target
-//     node/port inline,
+//     node/port inline, and
 //   * intrusive timers (client Tx ticks, retransmit deadlines, controller
-//     periods, server service completions) carry a handler pointer plus a
-//     64-bit argument — no std::function, no allocation, and
-//   * generic callbacks for the remaining cold paths (tests, fault scripts).
+//     periods, server service completions, fault scripts) carry a handler
+//     pointer plus a 64-bit argument, so scheduling one allocates nothing.
+// An Event is 48 bytes on x86-64.
 //
 // Ordering: events run in timestamp order, and events at equal timestamps
 // fire in insertion order. The structure behind that guarantee is a 4-ary
@@ -18,16 +19,22 @@
 //   * buckets are stamped with a creation sequence, and the heap orders by
 //     (time, creation). Any later same-time event lands in a younger
 //     bucket, so cross-bucket order is still insertion order;
-//   * the heap only ever sifts 24-byte entries — the fat Event structs
-//     (packet pointer, std::function storage) are written once into their
-//     bucket and moved once on pop, never during reheapification.
+//   * the heap only ever sifts 24-byte entries — the 48-byte Event structs
+//     are written once into their bucket and moved once on pop, never
+//     during reheapification.
 //
 // Bucket storage and event vectors are recycled through freelists, so the
-// steady state allocates nothing.
+// steady state allocates nothing. The two structures that grow with the
+// number of pending events hold no storage the queue has not written:
+// buckets live in a deque (fixed blocks, never moved), and the heap array
+// grows by value-initialising its new half. A doubling vector would leave
+// up to half its capacity untouched, and whether the kernel backs such
+// pages (transparent huge pages fill a partly-used 2 MiB range) changes a
+// run's resident memory by megabytes from one process to the next.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <deque>
 #include <vector>
 
 #include "common/types.h"
@@ -55,18 +62,15 @@ struct Event {
   Node* node = nullptr;
   int port = -1;
   PacketPtr pkt;
-  // Intrusive timer — used when node == nullptr && timer != nullptr.
+  // Intrusive timer — used when node == nullptr.
   TimerHandler* timer = nullptr;
   uint64_t arg = 0;
-  // Generic callback — used when node == nullptr && timer == nullptr.
-  std::function<void()> fn;
 };
 
 class EventQueue {
  public:
   void PushDelivery(SimTime t, Node* node, int port, PacketPtr pkt);
   void PushTimer(SimTime t, TimerHandler* timer, uint64_t arg);
-  void PushCallback(SimTime t, std::function<void()> fn);
 
   bool empty() const { return size_ == 0; }
   size_t size() const { return size_; }
@@ -101,8 +105,11 @@ class EventQueue {
     return a.time < b.time || (a.time == b.time && a.bseq < b.bseq);
   }
 
-  std::vector<Entry> heap_;      // 4-ary implicit min-heap
-  std::vector<Bucket> buckets_;
+  // 4-ary implicit min-heap in heap_[0, heap_size_); every slot past it
+  // is written too (see the header comment).
+  std::vector<Entry> heap_;
+  size_t heap_size_ = 0;
+  std::deque<Bucket> buckets_;
   std::vector<uint32_t> free_buckets_;
   size_t size_ = 0;
   size_t pending_deliveries_ = 0;

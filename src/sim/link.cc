@@ -74,9 +74,6 @@ void Link::Send(int from, PacketPtr pkt, SimTime extra_delay) {
     ++ch.stats.down_drops;
     MarkEnd(*pkt, PacketEnd::kDroppedLink);
     StampDrop(ch, *pkt, DropReason::kLinkDown);
-    if (drop_tap_ != nullptr && *drop_tap_)
-      (*drop_tap_)(*pkt, chans_[1 - from].to, ch.to, DropReason::kLinkDown,
-                   sim_->now());
     return;
   }
   // The per-direction degrade coin composes with the link-wide loss
@@ -90,9 +87,6 @@ void Link::Send(int from, PacketPtr pkt, SimTime extra_delay) {
     ++ch.stats.lost;
     MarkEnd(*pkt, PacketEnd::kDroppedLink);
     StampDrop(ch, *pkt, DropReason::kInjectedLoss);
-    if (drop_tap_ != nullptr && *drop_tap_)
-      (*drop_tap_)(*pkt, chans_[1 - from].to, ch.to, DropReason::kInjectedLoss,
-                   sim_->now());
     return;
   }
   const uint32_t bytes = pkt->wire_bytes();
@@ -107,9 +101,6 @@ void Link::Send(int from, PacketPtr pkt, SimTime extra_delay) {
     ++ch.stats.drops;
     MarkEnd(*pkt, PacketEnd::kDroppedLink);
     StampDrop(ch, *pkt, DropReason::kQueueOverflow);
-    if (drop_tap_ != nullptr && *drop_tap_)
-      (*drop_tap_)(*pkt, chans_[1 - from].to, ch.to,
-                   DropReason::kQueueOverflow, sim_->now());
     return;  // drop-tail: packet ownership ends here
   }
 

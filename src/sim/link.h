@@ -10,7 +10,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "common/random.h"
@@ -30,12 +29,6 @@ enum class DropReason {
   kLinkDown,       // fault injection took the link down
 };
 const char* DropReasonName(DropReason reason);
-
-// Fires at the moment a packet is discarded instead of committed to a
-// link. `from`/`to` are the link endpoints the packet would have traveled
-// between.
-using DropTapFn = std::function<void(const Packet& pkt, Node* from, Node* to,
-                                     DropReason reason, SimTime at)>;
 
 // Two-state Gilbert–Elliott burst-loss model. The channel sits in a
 // "good" or "bad" state; each packet first moves the state with the
@@ -110,10 +103,6 @@ class Link {
     return chans_[from].degrade_loss > 0 || chans_[from].degrade_latency > 0;
   }
 
-  // Drop tap (owned by the Network); observes packets discarded at this
-  // link: queue overflow, injected loss and link-down discards.
-  void set_drop_tap(const DropTapFn* tap) { drop_tap_ = tap; }
-
   // INT attachment for direction `from` (0 = a->b, 1 = b->a): `hop` is
   // the interned per-direction hop name, `queue_hist` the always-on
   // queue-depth histogram, `latency_hist` the shared link hop-class
@@ -155,7 +144,6 @@ class Link {
   Rng loss_rng_;
   bool down_ = false;
   bool in_bad_state_ = false;
-  const DropTapFn* drop_tap_ = nullptr;
   telemetry::IntSink* int_ = nullptr;
   stats::Histogram* int_latency_hist_ = nullptr;
 };

@@ -23,7 +23,6 @@ Network::Attachment Network::Connect(Node* a, Node* b,
   links_.push_back(
       std::make_unique<Link>(sim_, a, at.port_a, b, at.port_b, cfg));
   at.link = links_.back().get();
-  at.link->set_drop_tap(&drop_tap_);
   ports_a.push_back(PortSlot{at.link, 0});
   ports_b.push_back(PortSlot{at.link, 1});
   return at;
@@ -42,7 +41,5 @@ int Network::num_ports(Node* node) const {
   auto it = ports_.find(node);
   return it == ports_.end() ? 0 : static_cast<int>(it->second.size());
 }
-
-void Network::SetDropTap(DropTapFn tap) { drop_tap_ = std::move(tap); }
 
 }  // namespace orbit::sim

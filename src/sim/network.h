@@ -37,11 +37,6 @@ class Network {
   // Non-const access for attach-time instrumentation (INT hop ids).
   Link* mutable_link(size_t i) { return links_[i].get(); }
 
-  // Installs a fabric-wide drop tap: fires for packets discarded at a link
-  // (queue overflow, injected loss, link down); applies to links created
-  // before and after the call. Pass {} to remove.
-  void SetDropTap(DropTapFn tap);
-
  private:
   struct PortSlot {
     Link* link = nullptr;
@@ -51,7 +46,6 @@ class Network {
   Simulator* sim_;
   std::vector<std::unique_ptr<Link>> links_;
   std::unordered_map<Node*, std::vector<PortSlot>> ports_;
-  DropTapFn drop_tap_;
 };
 
 }  // namespace orbit::sim

@@ -38,16 +38,6 @@ void Simulator::CheckDeadline() const {
     throw DeadlineExceeded();
 }
 
-void Simulator::At(SimTime t, std::function<void()> fn) {
-  ORBIT_CHECK_MSG(t >= now_, "scheduling into the past: " << t << " < " << now_);
-  queue_.PushCallback(t, std::move(fn));
-}
-
-void Simulator::After(SimTime delay, std::function<void()> fn) {
-  ORBIT_CHECK(delay >= 0);
-  queue_.PushCallback(now_ + delay, std::move(fn));
-}
-
 void Simulator::AtTimer(SimTime t, TimerHandler* timer, uint64_t arg) {
   ORBIT_CHECK_MSG(t >= now_, "scheduling into the past: " << t << " < " << now_);
   ORBIT_CHECK(timer != nullptr);
@@ -73,10 +63,8 @@ bool Simulator::Step() {
   ++events_processed_;
   if (e.node != nullptr) {
     e.node->OnPacket(std::move(e.pkt), e.port);
-  } else if (e.timer != nullptr) {
-    e.timer->OnTimer(e.arg);
   } else {
-    e.fn();
+    e.timer->OnTimer(e.arg);
   }
   return true;
 }

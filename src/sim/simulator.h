@@ -43,12 +43,9 @@ class Simulator {
  public:
   SimTime now() const { return now_; }
 
-  // Schedules `fn` at absolute time t (>= now).
-  void At(SimTime t, std::function<void()> fn);
-  // Schedules `fn` after a non-negative delay.
-  void After(SimTime delay, std::function<void()> fn);
-  // Intrusive-timer variants (zero allocation; the hot path for periodic
-  // ticks, per-request deadlines, and service completions).
+  // Fires `timer->OnTimer(arg)` at absolute time t (>= now), or after a
+  // non-negative delay. Zero allocation: periodic ticks, per-request
+  // deadlines, service completions and fault scripts all ride these.
   void AtTimer(SimTime t, TimerHandler* timer, uint64_t arg = 0);
   void AfterTimer(SimTime delay, TimerHandler* timer, uint64_t arg = 0);
   // Fast-path packet delivery event.

@@ -13,13 +13,11 @@
 // (queue depths, in-flight packets). The distinction matters downstream:
 // time-series consumers difference counters and plot gauges directly.
 //
-// For event sources with no natural owner (link drop taps), OwnCounter
-// allocates registry-owned storage with pointer stability, usable as a
-// bump target from callbacks.
+// Link drops are pulled the same way, from each link's sim::ChannelStats
+// (telemetry/netstats.h).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <unordered_map>
@@ -58,15 +56,6 @@ class Registry {
     gauges_.emplace_back(std::move(name), std::move(read));
   }
 
-  // Registry-owned monotonic counter: returns a stable bump target and
-  // registers it under `name`.
-  uint64_t* OwnCounter(std::string name, std::string registrant = {}) {
-    owned_.push_back(0);
-    uint64_t* slot = &owned_.back();
-    AddCounter(std::move(name), [slot] { return *slot; }, std::move(registrant));
-    return slot;
-  }
-
   size_t num_counters() const { return counters_.size(); }
   size_t num_gauges() const { return gauges_.size(); }
 
@@ -100,7 +89,6 @@ class Registry {
 
   std::vector<std::pair<std::string, Source>> counters_;
   std::vector<std::pair<std::string, Source>> gauges_;
-  std::deque<uint64_t> owned_;  // deque: stable addresses for bump targets
   // kind-qualified name -> registrant, for duplicate diagnostics.
   std::unordered_map<std::string, std::string> owners_;
 };

@@ -19,6 +19,20 @@ void RegisterLinkDropCounters(Registry& reg, const sim::Network& net) {
       reg.AddCounter(base + "link_down", [&st] { return st.down_drops; }, who);
     }
   }
+  const auto total = [&net](uint64_t sim::ChannelStats::*field) {
+    return [&net, field] {
+      uint64_t sum = 0;
+      for (size_t i = 0; i < net.num_links(); ++i)
+        for (int dir = 0; dir < 2; ++dir) sum += net.link(i)->stats(dir).*field;
+      return sum;
+    };
+  };
+  const std::string who = "RegisterLinkDropCounters";
+  reg.AddCounter("net.drop.queue_overflow", total(&sim::ChannelStats::drops),
+                 who);
+  reg.AddCounter("net.drop.loss", total(&sim::ChannelStats::lost), who);
+  reg.AddCounter("net.drop.link_down", total(&sim::ChannelStats::down_drops),
+                 who);
 }
 
 void AttachLinkInt(IntSink& sink, sim::Network& net) {

@@ -1,11 +1,15 @@
-// Per-link drop-reason counters for the snapshot exporter.
+// Link drop counters for the snapshot exporter.
 //
-// The fabric-wide drop tap (sim::Network::SetDropTap) aggregates all loss
-// into three reason totals; in multi-switch runs that hides *where* a hop
-// lost packets. This helper walks the network's links in creation order and
-// registers one pull-based counter per direction per drop reason, named
+// Every link direction counts its own drops in sim::ChannelStats; this
+// helper walks the network's links in creation order and registers one
+// pull-based counter per direction per drop reason, named
 //
 //   net.link.<idx>.<from>-><to>.drop.{queue_overflow,injected_loss,link_down}
+//
+// then three network-wide totals, each the sum of one reason over every
+// link:
+//
+//   net.drop.{queue_overflow,loss,link_down}
 //
 // The index disambiguates nodes with identical names (all clients print as
 // "client"); names come from Node::name() so leaf/spine hops are readable.

@@ -13,6 +13,7 @@
 #include "kv/partition.h"
 #include "netcache/program.h"
 #include "orbitcache/program.h"
+#include "proto/message.h"
 #include "rmt/switch.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
@@ -25,6 +26,7 @@
 #include "testbed/workload_source.h"
 #include "verify/verify.h"
 #include "workload/dynamic.h"
+#include "workload/keyspace.h"
 
 namespace orbit::testbed {
 
@@ -32,6 +34,9 @@ namespace {
 // Every leaf<->spine uplink.
 constexpr double kUplinkGbps = 100.0;
 constexpr SimTime kUplinkDelay = 500;  // ns one way
+// Fig.-14 mode's two value sizes.
+constexpr uint32_t kTwitterSmallValue = 64;
+constexpr uint32_t kTwitterLargeValue = 1024;
 }  // namespace
 
 const char* SchemeName(Scheme scheme) {
@@ -62,10 +67,11 @@ std::function<uint32_t(const Key&)> MakeValueSizeFn(
   }
   const uint64_t seed = config.seed;
   return [profile, small_given_uncacheable, seed](const Key& key) -> uint32_t {
-    if (wl::NetCacheCacheable(profile, key, seed)) return 64;
+    if (wl::NetCacheCacheable(profile, key, seed)) return kTwitterSmallValue;
     const uint64_t h = Hash64(key, seed ^ 0x74777369ull);
     const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
-    return u < small_given_uncacheable ? 64u : 1024u;
+    return u < small_given_uncacheable ? kTwitterSmallValue
+                                       : kTwitterLargeValue;
   };
 }
 
@@ -106,6 +112,17 @@ std::vector<std::string> TestbedConfig::Validate() const {
         "a positive aggregate Tx rate");
   if (topo.server_rate_rps < 0)
     err("topo.server_rate_rps must be >= 0 (0 = unlimited)");
+  // Serialization time divides by each rate.
+  if (!(topo.client_link_gbps > 0))
+    err("topo.client_link_gbps must be > 0 (got " +
+        std::to_string(topo.client_link_gbps) + ")");
+  if (!(topo.server_link_gbps > 0))
+    err("topo.server_link_gbps must be > 0 (got " +
+        std::to_string(topo.server_link_gbps) + ")");
+  if (!(topo.asic.recirc_rate_gbps > 0))
+    err("topo.asic.recirc_rate_gbps must be > 0 (got " +
+        std::to_string(topo.asic.recirc_rate_gbps) +
+        ") — it sets every recirculation pass's serialization time");
 
   if (topo.fabric.num_racks < 0)
     err("topo.fabric.num_racks must be >= 0 (0 = single-switch)");
@@ -169,14 +186,49 @@ std::vector<std::string> TestbedConfig::Validate() const {
   }
 
   if (workload.num_keys == 0) err("workload.num_keys must be >= 1");
-  if (workload.key_size == 0) err("workload.key_size must be >= 1");
-  if (workload.zipf_theta < 0)
-    err("workload.zipf_theta must be >= 0 (0 = uniform)");
+  const uint32_t min_key = wl::KeySpace::MinKeySize(workload.num_keys);
+  if (workload.key_size < min_key)
+    err("workload.key_size must be >= " + std::to_string(min_key) + " for " +
+        std::to_string(workload.num_keys) + " keys (got " +
+        std::to_string(workload.key_size) +
+        ") — a key is 'k' plus its zero-padded decimal id, at least 8 bytes");
+  if (!(workload.zipf_theta >= 0 && workload.zipf_theta < 1))
+    err("workload.zipf_theta must be in [0, 1) (got " +
+        std::to_string(workload.zipf_theta) + "; 0 = uniform)");
+  {
+    // A reply carries key and value; a longer value needs multi-packet
+    // fragments of the same per-packet budget.
+    const uint64_t largest = workload.twitter != nullptr
+                                 ? kTwitterLargeValue
+                                 : workload.value_dist.max_size();
+    const uint32_t budget = proto::ValueBudget(workload.key_size);
+    const std::string fits = std::to_string(budget) + "B of value beside a " +
+                             std::to_string(workload.key_size) + "B key";
+    if (budget == 0)
+      err("workload.key_size (" + std::to_string(workload.key_size) +
+          ") leaves no room for a value in a " +
+          std::to_string(proto::kMaxPayloadBytes) + "B payload");
+    else if (!cache.multi_packet && largest > budget)
+      err("values of up to " + std::to_string(largest) +
+          "B exceed one packet (" + fits +
+          ") — shrink workload.value_dist or set cache.multi_packet");
+    else if (const uint64_t frags = (largest + budget - 1) / budget;
+             frags > proto::kMaxFragments)
+      err("values of up to " + std::to_string(largest) + "B need " +
+          std::to_string(frags) + " fragments (" + fits +
+          " each), above the " + std::to_string(proto::kMaxFragments) +
+          "-fragment limit");
+  }
   if (workload.write_ratio < 0 || workload.write_ratio > 1)
     err("workload.write_ratio must be within [0, 1] (got " +
         std::to_string(workload.write_ratio) + ")");
   if (workload.hot_in && workload.hot_in_period <= 0)
     err("workload.hot_in_period must be > 0 when hot_in is enabled");
+  if (workload.hot_in && workload.hot_in_count > workload.num_keys / 2)
+    err("workload.hot_in_count (" + std::to_string(workload.hot_in_count) +
+        ") must be at most half of workload.num_keys (" +
+        std::to_string(workload.num_keys) +
+        ") — hot-in swaps the hottest keys with as many coldest ones");
 
   if (scheme == Scheme::kOrbitCache) {
     // Every leaf routes to every host, and each route takes one clone group.
@@ -546,23 +598,8 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
     for (size_t i = 0; i < clients.size(); ++i)
       clients[i]->RegisterTelemetry(*registry,
                                     "client." + std::to_string(i));
-    // Per-hop drops, one counter per link direction per reason.
+    // Drops per link direction and reason, then network-wide by reason.
     telemetry::RegisterLinkDropCounters(*registry, net);
-    // Network-wide drops, bucketed by reason.
-    uint64_t* drop_ovf =
-        registry->OwnCounter("net.drop.queue_overflow", "RunTestbed");
-    uint64_t* drop_loss = registry->OwnCounter("net.drop.loss", "RunTestbed");
-    uint64_t* drop_down =
-        registry->OwnCounter("net.drop.link_down", "RunTestbed");
-    net.SetDropTap([drop_ovf, drop_loss, drop_down](
-                       const sim::Packet&, sim::Node*, sim::Node*,
-                       sim::DropReason reason, SimTime) {
-      switch (reason) {
-        case sim::DropReason::kQueueOverflow: ++*drop_ovf; break;
-        case sim::DropReason::kInjectedLoss: ++*drop_loss; break;
-        case sim::DropReason::kLinkDown: ++*drop_down; break;
-      }
-    });
     if (injector != nullptr)
       injector->RegisterTelemetry(registry.get(), int_sink.get());
     if (failover != nullptr) failover->RegisterTelemetry(registry.get());

@@ -1,6 +1,8 @@
 #include "workload/keyspace.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <string>
 
 #include "common/check.h"
 
@@ -8,7 +10,15 @@ namespace orbit::wl {
 
 KeySpace::KeySpace(uint64_t num_keys, uint32_t key_size, uint64_t seed)
     : num_keys_(num_keys), key_size_(key_size), perm_(num_keys, seed) {
-  ORBIT_CHECK_MSG(key_size >= 8, "key size must fit the numeric identity");
+  ORBIT_CHECK_MSG(key_size >= MinKeySize(num_keys),
+                  "key size " << key_size << " too small for " << num_keys
+                              << " keys");
+}
+
+uint32_t KeySpace::MinKeySize(uint64_t num_keys) {
+  const uint64_t max_id = num_keys > 0 ? num_keys - 1 : 0;
+  return std::max<uint32_t>(
+      8, 1 + static_cast<uint32_t>(std::to_string(max_id).size()));
 }
 
 Key KeySpace::KeyForId(uint64_t id) const {

@@ -19,6 +19,10 @@ class KeySpace {
  public:
   KeySpace(uint64_t num_keys, uint32_t key_size, uint64_t seed);
 
+  // The shortest key_size a `num_keys` space accepts: "k" plus the
+  // largest id's decimal digits, and never under 8 bytes.
+  static uint32_t MinKeySize(uint64_t num_keys);
+
   uint64_t num_keys() const { return num_keys_; }
   uint32_t key_size() const { return key_size_; }
 

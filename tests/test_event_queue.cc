@@ -12,22 +12,39 @@
 namespace orbit::sim {
 namespace {
 
+// Most cases push timers and pop them without firing, reading back the id
+// each push carried in its argument.
+struct NullTimer : TimerHandler {
+  void OnTimer(uint64_t) override {}
+} timer;
+
+// Pops everything, returning the ids in pop order.
+std::vector<uint64_t> Drain(EventQueue& q) {
+  std::vector<uint64_t> ids;
+  while (!q.empty()) ids.push_back(q.Pop().arg);
+  return ids;
+}
+
+TEST(EventQueue, EventIs48BytesOnLp64) {
+  if constexpr (sizeof(void*) == 8) {
+    EXPECT_EQ(sizeof(Event), 48u);
+  }
+}
+
 TEST(EventQueue, PopsInTimeOrder) {
   EventQueue q;
-  std::vector<int> order;
-  q.PushCallback(30, [&] { order.push_back(3); });
-  q.PushCallback(10, [&] { order.push_back(1); });
-  q.PushCallback(20, [&] { order.push_back(2); });
-  while (!q.empty()) q.Pop().fn();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  q.PushTimer(30, &timer, 3);
+  q.PushTimer(10, &timer, 1);
+  q.PushTimer(20, &timer, 2);
+  EXPECT_EQ(Drain(q), (std::vector<uint64_t>{1, 2, 3}));
 }
 
 TEST(EventQueue, EqualTimesFireInInsertionOrder) {
   EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 100; ++i) q.PushCallback(5, [&, i] { order.push_back(i); });
-  while (!q.empty()) q.Pop().fn();
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
+  for (uint64_t i = 0; i < 100; ++i) q.PushTimer(5, &timer, i);
+  const std::vector<uint64_t> order = Drain(q);
+  ASSERT_EQ(order.size(), 100u);
+  for (uint64_t i = 0; i < 100; ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(EventQueue, EqualTimesKeepInsertionOrderAcrossBuckets) {
@@ -36,15 +53,13 @@ TEST(EventQueue, EqualTimesKeepInsertionOrderAcrossBuckets) {
   // (time, bucket-creation) order must still replay them in insertion
   // order — this is the cross-bucket half of the determinism guarantee.
   EventQueue q;
-  std::vector<int> order;
-  q.PushCallback(5, [&] { order.push_back(50); });
-  q.PushCallback(3, [&] { order.push_back(30); });  // breaks the t=5 run
-  q.PushCallback(5, [&] { order.push_back(51); });
-  q.PushCallback(1, [&] { order.push_back(10); });
-  q.PushCallback(5, [&] { order.push_back(52); });
-  q.PushCallback(3, [&] { order.push_back(31); });
-  while (!q.empty()) q.Pop().fn();
-  EXPECT_EQ(order, (std::vector<int>{10, 30, 31, 50, 51, 52}));
+  q.PushTimer(5, &timer, 50);
+  q.PushTimer(3, &timer, 30);  // breaks the t=5 run
+  q.PushTimer(5, &timer, 51);
+  q.PushTimer(1, &timer, 10);
+  q.PushTimer(5, &timer, 52);
+  q.PushTimer(3, &timer, 31);
+  EXPECT_EQ(Drain(q), (std::vector<uint64_t>{10, 30, 31, 50, 51, 52}));
 }
 
 TEST(EventQueue, InterleavedEqualTimesStayFifoUnderRandomLoad) {
@@ -53,22 +68,25 @@ TEST(EventQueue, InterleavedEqualTimesStayFifoUnderRandomLoad) {
   // the push order regardless of how buckets were split and recycled.
   EventQueue q;
   Rng rng(17);
-  std::vector<std::vector<int>> pushed(8), popped(8);
-  int next_id = 0, to_pop = 0;
+  std::vector<std::vector<uint64_t>> pushed(8), popped(8);
+  uint64_t next_id = 0;
+  int to_pop = 0;
+  const auto pop = [&] {
+    const Event e = q.Pop();
+    popped[static_cast<size_t>(e.time - 100)].push_back(e.arg);
+  };
   for (int round = 0; round < 4000; ++round) {
     if (to_pop < 4000 && (q.empty() || rng.Bernoulli(0.55))) {
       const auto t = static_cast<SimTime>(100 + rng.UniformU64(8));
-      const int id = next_id++;
+      const uint64_t id = next_id++;
       pushed[static_cast<size_t>(t - 100)].push_back(id);
-      q.PushCallback(t, [&popped, t, id] {
-        popped[static_cast<size_t>(t - 100)].push_back(id);
-      });
+      q.PushTimer(t, &timer, id);
     } else if (!q.empty()) {
-      q.Pop().fn();
+      pop();
       ++to_pop;
     }
   }
-  while (!q.empty()) q.Pop().fn();
+  while (!q.empty()) pop();
   for (size_t t = 0; t < pushed.size(); ++t)
     EXPECT_EQ(popped[t], pushed[t]) << "FIFO broken at timestamp " << t;
 }
@@ -78,7 +96,7 @@ TEST(EventQueue, EmptyQueueAccessorsAreCheckedPreconditions) {
   EXPECT_THROW(q.next_time(), CheckFailure);
   EXPECT_THROW(q.Pop(), CheckFailure);
   // Still usable after the failed calls.
-  q.PushCallback(1, [] {});
+  q.PushTimer(1, &timer, 0);
   EXPECT_EQ(q.next_time(), 1);
   q.Pop();
   EXPECT_THROW(q.Pop(), CheckFailure);
@@ -94,8 +112,8 @@ TEST(EventQueue, HeapPropertyUnderRandomLoad) {
   while (popped < 5000) {
     if (pushed < 5000 && (q.empty() || rng.Bernoulli(0.6))) {
       // Never schedule into the past relative to what we've popped.
-      q.PushCallback(last + 1 + static_cast<SimTime>(rng.UniformU64(1000)),
-                     [] {});
+      q.PushTimer(last + 1 + static_cast<SimTime>(rng.UniformU64(1000)),
+                  &timer, static_cast<uint64_t>(pushed));
       ++pushed;
     } else {
       Event e = q.Pop();
@@ -131,8 +149,8 @@ TEST(EventQueue, DeliveryEventsCarryPayload) {
 TEST(EventQueue, SizeTracksPushesAndPops) {
   EventQueue q;
   EXPECT_TRUE(q.empty());
-  q.PushCallback(1, [] {});
-  q.PushCallback(2, [] {});
+  q.PushTimer(1, &timer, 0);
+  q.PushTimer(2, &timer, 1);
   EXPECT_EQ(q.size(), 2u);
   q.Pop();
   EXPECT_EQ(q.size(), 1u);
@@ -142,8 +160,8 @@ TEST(EventQueue, SizeTracksPushesAndPops) {
 
 TEST(EventQueue, NextTimePeeksEarliest) {
   EventQueue q;
-  q.PushCallback(42, [] {});
-  q.PushCallback(7, [] {});
+  q.PushTimer(42, &timer, 0);
+  q.PushTimer(7, &timer, 1);
   EXPECT_EQ(q.next_time(), 7);
 }
 

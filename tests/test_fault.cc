@@ -8,6 +8,7 @@
 
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/link.h"
@@ -193,6 +194,37 @@ TEST(FaultInjector, FiresHooksAtScheduledTimes) {
   EXPECT_EQ(s.cache_rebuilds, 1u);
   EXPECT_EQ(s.ctrl_transitions, 2u);
   EXPECT_EQ(s.injected, 6u);
+}
+
+TEST(FaultInjector, LeafRestartRebuildsThatRackAfterTheDelay) {
+  sim::Simulator sim;
+  const FaultSchedule schedule = LeafCrashAt(
+      3, 10 * kMicrosecond, 30 * kMicrosecond, /*rebuild_delay=*/7 * kMicrosecond);
+  using Log = std::vector<std::pair<SimTime, std::string>>;
+  Log log;
+  FaultHooks hooks;
+  hooks.set_leaf_down = [&](int rack, bool down) {
+    log.emplace_back(sim.now(),
+                     (down ? "down:" : "up:") + std::to_string(rack));
+  };
+  hooks.rebuild_leaf = [&](int rack) {
+    log.emplace_back(sim.now(), "rebuild:" + std::to_string(rack));
+  };
+
+  FaultInjector injector(&sim, schedule, std::move(hooks));
+  injector.Arm();
+  sim.RunToCompletion();
+
+  EXPECT_EQ(log, (Log{{10 * kMicrosecond, "down:3"},
+                      {30 * kMicrosecond, "up:3"},
+                      {37 * kMicrosecond, "rebuild:3"}}))
+      << "the rebuild fires rebuild_delay after the restart, for rack 3";
+  const FaultInjector::Stats& s = injector.stats();
+  EXPECT_EQ(s.leaf_crashes, 1u);
+  EXPECT_EQ(s.leaf_restarts, 1u);
+  EXPECT_EQ(s.leaf_rebuilds, 1u);
+  EXPECT_EQ(s.cache_rebuilds, 0u);
+  EXPECT_EQ(s.injected, 3u);
 }
 
 TEST(FaultInjector, EmptyHooksAreCountedNoops) {

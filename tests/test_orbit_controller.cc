@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "tests/orbit_rig.h"
 
 namespace orbit::oc {
@@ -161,6 +163,78 @@ TEST(Controller, DynamicSizingGrowsWhenHealthy) {
   rig.Run(20 * kMillisecond);
   EXPECT_GT(rig.controller().current_cache_size(), 4u);
   EXPECT_GE(rig.controller().stats().size_increases, 1u);
+}
+
+TEST(Controller, NoCloningRefetchesEachServeAfterTheCpuTurnaround) {
+  // Without cloning, a serve sends the cache packet itself to the client,
+  // so the controller refetches the value one CPU turnaround (10 us) after
+  // each serve, in serve order, unless it evicted the key meanwhile.
+  constexpr SimTime kCpuTurnaround = 10 * kMicrosecond;
+  RigConfig cfg = ControllerRig();
+  cfg.orbit.enable_cloning = false;
+  Rig rig(cfg);
+  // a and b live on different servers, so the server an F-REQ reaches
+  // names its key.
+  const Key a = K(1);
+  Key b;
+  for (int i = 2; b.empty(); ++i)
+    if (rig.ServerAddrFor(K(i)) != rig.ServerAddrFor(a)) b = K(i);
+  const Key c = K(0);
+  rig.controller().Preload({a, b, c});
+  rig.Settle();
+
+  // Runs `d` one nanosecond at a time, logging when a serve asks for a
+  // refetch, when the controller sends an F-REQ, and which server each
+  // F-REQ reached.
+  std::vector<SimTime> serves, freqs;
+  std::vector<Addr> fetched_at;
+  const auto run_logged = [&](SimTime d) {
+    const SimTime end = rig.sim().now() + d;
+    for (SimTime t = rig.sim().now() + 1; t <= end; ++t) {
+      const uint64_t refetches = rig.program().stats().refetches;
+      const uint64_t sent = rig.controller().stats().fetches_sent;
+      const uint64_t at_a = rig.ServerFor(a).stats().fetches;
+      const uint64_t at_b = rig.ServerFor(b).stats().fetches;
+      rig.sim().RunUntil(t);
+      serves.insert(serves.end(), rig.program().stats().refetches - refetches,
+                    t);
+      freqs.insert(freqs.end(), rig.controller().stats().fetches_sent - sent,
+                   t);
+      fetched_at.insert(fetched_at.end(),
+                        rig.ServerFor(a).stats().fetches - at_a,
+                        rig.ServerAddrFor(a));
+      fetched_at.insert(fetched_at.end(),
+                        rig.ServerFor(b).stats().fetches - at_b,
+                        rig.ServerAddrFor(b));
+    }
+  };
+
+  rig.SendRead(a, 1);
+  run_logged(kMicrosecond);
+  rig.SendRead(b, 2);
+  run_logged(50 * kMicrosecond);
+  ASSERT_EQ(serves.size(), 2u);
+  EXPECT_LT(serves[0], serves[1]);
+  EXPECT_EQ(freqs, (std::vector<SimTime>{serves[0] + kCpuTurnaround,
+                                         serves[1] + kCpuTurnaround}));
+  EXPECT_EQ(fetched_at, (std::vector<Addr>{rig.ServerAddrFor(a),
+                                           rig.ServerAddrFor(b)}))
+      << "F-REQs leave in serve order";
+  EXPECT_NE(rig.FindReply(1), nullptr);
+  EXPECT_NE(rig.FindReply(2), nullptr);
+
+  // Evicted 5 us after its serve: the refetch timer still fires, but sends
+  // nothing.
+  serves.clear();
+  freqs.clear();
+  rig.SendRead(c, 3);
+  run_logged(3 * kMicrosecond);
+  ASSERT_EQ(serves.size(), 1u);
+  rig.sim().RunUntil(serves[0] + 5 * kMicrosecond);
+  ASSERT_TRUE(rig.controller().WithdrawKey(c));
+  run_logged(50 * kMicrosecond);
+  EXPECT_TRUE(freqs.empty()) << "no F-REQ for a key evicted meanwhile";
+  EXPECT_NE(rig.FindReply(3), nullptr);
 }
 
 TEST(Controller, RefusesOversizedConfiguration) {

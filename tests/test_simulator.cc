@@ -2,57 +2,83 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
+#include <vector>
+
 #include "common/check.h"
 
 namespace orbit::sim {
 namespace {
 
+// Records every firing as (argument, time); `then` runs after the record,
+// so a case can arm follow-up timers from inside one.
+struct Recorder : TimerHandler {
+  explicit Recorder(Simulator* s) : sim(s) {}
+  void OnTimer(uint64_t arg) override {
+    fired.emplace_back(arg, sim->now());
+    if (then) then(arg);
+  }
+  std::vector<uint64_t> args() const {
+    std::vector<uint64_t> out;
+    for (const auto& [arg, at] : fired) out.push_back(arg);
+    return out;
+  }
+  Simulator* sim;
+  std::vector<std::pair<uint64_t, SimTime>> fired;
+  std::function<void(uint64_t)> then;
+};
+
+using Fired = std::vector<std::pair<uint64_t, SimTime>>;
+
 TEST(Simulator, ClockAdvancesWithEvents) {
   Simulator sim;
+  Recorder rec(&sim);
   EXPECT_EQ(sim.now(), 0);
-  SimTime seen = -1;
-  sim.At(100, [&] { seen = sim.now(); });
+  sim.AtTimer(100, &rec, 7);
   sim.RunToCompletion();
-  EXPECT_EQ(seen, 100);
+  EXPECT_EQ(rec.fired, (Fired{{7, 100}}));
   EXPECT_EQ(sim.now(), 100);
 }
 
 TEST(Simulator, AfterSchedulesRelative) {
   Simulator sim;
-  std::vector<SimTime> fired;
-  sim.At(50, [&] {
-    fired.push_back(sim.now());
-    sim.After(25, [&] { fired.push_back(sim.now()); });
-  });
+  Recorder rec(&sim);
+  rec.then = [&](uint64_t arg) {
+    if (arg == 1) sim.AfterTimer(25, &rec, 2);
+  };
+  sim.AtTimer(50, &rec, 1);
   sim.RunToCompletion();
-  EXPECT_EQ(fired, (std::vector<SimTime>{50, 75}));
+  EXPECT_EQ(rec.fired, (Fired{{1, 50}, {2, 75}}));
 }
 
 TEST(Simulator, RunUntilStopsAtBoundary) {
   Simulator sim;
-  int count = 0;
-  sim.At(10, [&] { ++count; });
-  sim.At(20, [&] { ++count; });
-  sim.At(30, [&] { ++count; });
+  Recorder rec(&sim);
+  sim.AtTimer(10, &rec, 1);
+  sim.AtTimer(20, &rec, 2);
+  sim.AtTimer(30, &rec, 3);
   sim.RunUntil(20);
-  EXPECT_EQ(count, 2);  // events at exactly t run
+  EXPECT_EQ(rec.args(), (std::vector<uint64_t>{1, 2}));  // events at exactly t run
   EXPECT_EQ(sim.now(), 20);
   sim.RunUntil(100);
-  EXPECT_EQ(count, 3);
+  EXPECT_EQ(rec.args(), (std::vector<uint64_t>{1, 2, 3}));
   EXPECT_EQ(sim.now(), 100);  // clock advances even past last event
 }
 
 TEST(Simulator, RejectsSchedulingIntoThePast) {
   Simulator sim;
-  sim.At(100, [] {});
+  Recorder rec(&sim);
+  sim.AtTimer(100, &rec);
   sim.RunToCompletion();
-  EXPECT_THROW(sim.At(50, [] {}), CheckFailure);
-  EXPECT_THROW(sim.After(-1, [] {}), CheckFailure);
+  EXPECT_THROW(sim.AtTimer(50, &rec), CheckFailure);
+  EXPECT_THROW(sim.AfterTimer(-1, &rec), CheckFailure);
 }
 
 TEST(Simulator, CountsEvents) {
   Simulator sim;
-  for (int i = 0; i < 10; ++i) sim.At(i, [] {});
+  Recorder rec(&sim);
+  for (int i = 0; i < 10; ++i) sim.AtTimer(i, &rec, static_cast<uint64_t>(i));
   sim.RunToCompletion();
   EXPECT_EQ(sim.events_processed(), 10u);
 }
@@ -61,20 +87,21 @@ TEST(Simulator, CascadedEventsRunSameTimestamp) {
   // An event scheduling another event at the same instant runs it before
   // later-timestamped events.
   Simulator sim;
-  std::vector<int> order;
-  sim.At(10, [&] {
-    order.push_back(1);
-    sim.After(0, [&] { order.push_back(2); });
-  });
-  sim.At(11, [&] { order.push_back(3); });
+  Recorder rec(&sim);
+  rec.then = [&](uint64_t arg) {
+    if (arg == 1) sim.AfterTimer(0, &rec, 2);
+  };
+  sim.AtTimer(10, &rec, 1);
+  sim.AtTimer(11, &rec, 3);
   sim.RunToCompletion();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(rec.fired, (Fired{{1, 10}, {2, 10}, {3, 11}}));
 }
 
 TEST(Simulator, StepReturnsFalseWhenDrained) {
   Simulator sim;
+  Recorder rec(&sim);
   EXPECT_FALSE(sim.Step());
-  sim.At(1, [] {});
+  sim.AtTimer(1, &rec);
   EXPECT_TRUE(sim.Step());
   EXPECT_FALSE(sim.Step());
 }

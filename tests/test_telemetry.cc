@@ -1,8 +1,10 @@
 // Telemetry unit coverage: the counter registry, the golden Chrome
 // trace-event JSON form of the hop-event stream (the external contract
-// Perfetto consumes), and the link drop tap feeding drop counters.
+// Perfetto consumes), and the link drop counters.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
 #include <utility>
 
 #include "sim/network.h"
@@ -10,6 +12,7 @@
 #include "sim/simulator.h"
 #include "telemetry/counters.h"
 #include "telemetry/export.h"
+#include "telemetry/netstats.h"
 
 namespace orbit::telemetry {
 namespace {
@@ -20,27 +23,21 @@ TEST(Registry, SamplesInRegistrationOrder) {
   reg.AddCounter("b.second", [] { return uint64_t{2}; });
   reg.AddCounter("a.first", [&a] { return a; });
   reg.AddGauge("depth", [] { return uint64_t{7}; });
-  uint64_t* own = reg.OwnCounter("drops");
-  *own += 3;
 
   Snapshot snap = reg.Sample(123);
   EXPECT_EQ(snap.at, 123);
-  ASSERT_EQ(snap.counters.size(), 3u);
+  ASSERT_EQ(snap.counters.size(), 2u);
   // Registration order, not name order: determinism contract.
   EXPECT_EQ(snap.counters[0].first, "b.second");
   EXPECT_EQ(snap.counters[1].first, "a.first");
   EXPECT_EQ(snap.counters[1].second, 5u);
-  EXPECT_EQ(snap.counters[2].first, "drops");
-  EXPECT_EQ(snap.counters[2].second, 3u);
   ASSERT_EQ(snap.gauges.size(), 1u);
   EXPECT_EQ(snap.gauges[0].second, 7u);
 
   // Sources are live: later samples see updated values.
   a = 9;
-  *own += 1;
   snap = reg.Sample(456);
   EXPECT_EQ(snap.counters[1].second, 9u);
-  EXPECT_EQ(snap.counters[2].second, 4u);
 }
 
 // The exact exported bytes are the external contract (Perfetto reads
@@ -95,18 +92,23 @@ TEST(ChromeTraceJson, EmptyCaptureListStillValidDocument) {
   EXPECT_EQ(json, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n\n]}\n");
 }
 
-// ---- drop tap (satellite: sim::Network drop events) ----------------------
+// ---- link drop counters -------------------------------------------------
 
-class SinkNode : public sim::Node {
+class NamedNode : public sim::Node {
  public:
+  explicit NamedNode(std::string name) : name_(std::move(name)) {}
   void OnPacket(sim::PacketPtr, int) override {}
-  std::string name() const override { return "sink"; }
+  std::string name() const override { return name_; }
+
+ private:
+  std::string name_;
 };
 
-// Both link-level causes reach the tap with their reason: a slow link
-// with a tiny drop-tail queue overflows, and a loss_rate of 1 kills every
-// packet on the coin.
-TEST(DropTap, QueueOverflowFiresTapWithReason) {
+// One link per drop reason: a slow link with a tiny drop-tail queue
+// overflows, a loss_rate of 1 kills every packet on the coin, and a link
+// taken down discards everything offered. Each network-wide total must
+// equal its per-link counter, and no drop may count under two reasons.
+TEST(RegisterLinkDropCounters, TotalsEqualPerLinkCountersForEveryReason) {
   sim::LinkConfig slow;
   slow.rate_gbps = 0.001;  // slow: packets pile up
   slow.propagation = 100;
@@ -115,21 +117,27 @@ TEST(DropTap, QueueOverflowFiresTapWithReason) {
   lossy.rate_gbps = 10.0;
   lossy.propagation = 100;
   lossy.loss_rate = 1.0;
-  const std::pair<sim::LinkConfig, sim::DropReason> cases[] = {
-      {slow, sim::DropReason::kQueueOverflow},
-      {lossy, sim::DropReason::kInjectedLoss}};
-  for (const auto& [link, want] : cases) {
+  struct Case {
+    sim::LinkConfig link;
+    bool down;
+    sim::DropReason reason;
+    std::string total;
+  };
+  const Case cases[] = {
+      {slow, false, sim::DropReason::kQueueOverflow, "net.drop.queue_overflow"},
+      {lossy, false, sim::DropReason::kInjectedLoss, "net.drop.loss"},
+      {sim::LinkConfig{}, true, sim::DropReason::kLinkDown,
+       "net.drop.link_down"}};
+  for (const Case& c : cases) {
+    const std::string reason = sim::DropReasonName(c.reason);
     sim::Simulator sim;
     sim::Network net(&sim);
-    SinkNode a, b;
-    const auto att = net.Connect(&a, &b, link);
-
-    uint64_t drops = 0, other_reason = 0;
-    net.SetDropTap([&](const sim::Packet&, sim::Node*, sim::Node*,
-                       sim::DropReason reason, SimTime) {
-      ++drops;
-      if (reason != want) ++other_reason;
-    });
+    // Distinct names: each direction registers its own per-link counters.
+    NamedNode a("a"), b("b");
+    const auto att = net.Connect(&a, &b, c.link);
+    att.link->set_down(c.down);
+    Registry reg;
+    RegisterLinkDropCounters(reg, net);
 
     for (int i = 0; i < 20; ++i) {
       proto::Message msg;
@@ -138,16 +146,32 @@ TEST(DropTap, QueueOverflowFiresTapWithReason) {
       net.Send(&a, att.port_a, std::move(pkt));
     }
     sim.RunToCompletion();
-    EXPECT_GT(drops, 0u) << sim::DropReasonName(want);
-    EXPECT_EQ(other_reason, 0u) << sim::DropReasonName(want);
-    if (want == sim::DropReason::kInjectedLoss) {
-      EXPECT_EQ(drops, 20u);
+
+    const Snapshot snap = reg.Sample(sim.now());
+    // Two directions x three reasons, then the three totals in order.
+    ASSERT_EQ(snap.counters.size(), 9u) << reason;
+    EXPECT_EQ(snap.counters[6].first, "net.drop.queue_overflow");
+    EXPECT_EQ(snap.counters[7].first, "net.drop.loss");
+    EXPECT_EQ(snap.counters[8].first, "net.drop.link_down");
+    const std::map<std::string, uint64_t> v(snap.counters.begin(),
+                                            snap.counters.end());
+    const uint64_t dropped = v.at("net.link.0.a->b.drop." + reason);
+    EXPECT_GT(dropped, 0u) << reason;
+    if (c.reason != sim::DropReason::kQueueOverflow) {
+      EXPECT_EQ(dropped, 20u) << reason;
     }
+    EXPECT_EQ(v.at(c.total), dropped) << reason;
+    uint64_t per_link = 0, totals = 0;
+    for (const auto& [name, value] : snap.counters)
+      (name.rfind("net.drop.", 0) == 0 ? totals : per_link) += value;
+    EXPECT_EQ(per_link, dropped) << reason << ": one reason per drop";
+    EXPECT_EQ(totals, dropped) << reason << ": one reason per drop";
   }
   EXPECT_STREQ(sim::DropReasonName(sim::DropReason::kQueueOverflow),
                "queue_overflow");
   EXPECT_STREQ(sim::DropReasonName(sim::DropReason::kInjectedLoss),
                "injected_loss");
+  EXPECT_STREQ(sim::DropReasonName(sim::DropReason::kLinkDown), "link_down");
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
+#include "workload/twitter.h"
 
 namespace orbit::testbed {
 namespace {
@@ -233,6 +234,91 @@ TEST(TestbedValidate, OrbitCacheHostsBeyondTheCloneTableAreRejected) {
   EXPECT_TRUE(HasErrorMentioning(cfg.Validate(), "clone-group"));
   // NoCache and NetCache keep no clone groups.
   cfg.scheme = Scheme::kNoCache;
+  EXPECT_TRUE(cfg.Validate().empty());
+}
+
+// The rules below reject configs that used to pass Validate() and then
+// abort inside RunTestbed (or, for the recirculation rate, divide by zero).
+
+TEST(TestbedValidate, ZipfThetaMustStayBelowOne) {
+  TestbedConfig cfg = SmallConfig(Scheme::kNoCache);
+  cfg.workload.zipf_theta = 0.99;
+  EXPECT_TRUE(cfg.Validate().empty());
+  cfg.workload.zipf_theta = 1.0;
+  EXPECT_TRUE(HasErrorMentioning(cfg.Validate(), "zipf_theta"));
+}
+
+TEST(TestbedValidate, KeySizeMustHoldEveryKeyId) {
+  // A key is 'k' plus the decimal id, at least 8 bytes: 10M keys fit in 8
+  // bytes (largest id 9,999,999), 20M keys need 9.
+  TestbedConfig cfg = SmallConfig(Scheme::kNoCache);
+  cfg.workload.key_size = 1;
+  EXPECT_TRUE(HasErrorMentioning(cfg.Validate(), "key_size"));
+  cfg.workload.key_size = 8;
+  cfg.workload.num_keys = 10'000'000;
+  EXPECT_TRUE(cfg.Validate().empty());
+  cfg.workload.num_keys = 20'000'000;
+  const auto errors = cfg.Validate();
+  EXPECT_TRUE(HasErrorMentioning(errors, "key_size must be >= 9"));
+  cfg.workload.key_size = 9;
+  EXPECT_TRUE(cfg.Validate().empty());
+}
+
+TEST(TestbedValidate, ValuesMustFitOnePacketOrItsFragments) {
+  // 16B keys leave 1416B of value in one packet, under every scheme.
+  for (Scheme scheme :
+       {Scheme::kNoCache, Scheme::kNetCache, Scheme::kOrbitCache}) {
+    TestbedConfig cfg = SmallConfig(scheme);
+    cfg.workload.value_dist = wl::ValueDist::Fixed(1416);
+    EXPECT_TRUE(cfg.Validate().empty()) << SchemeName(scheme);
+    cfg.workload.value_dist = wl::ValueDist::Fixed(1500);
+    EXPECT_TRUE(HasErrorMentioning(cfg.Validate(), "multi_packet"))
+        << SchemeName(scheme);
+  }
+  // Multi-packet items: at most 255 fragments of 1416B.
+  TestbedConfig cfg = SmallConfig(Scheme::kOrbitCache);
+  cfg.cache.multi_packet = true;
+  cfg.workload.value_dist = wl::ValueDist::Fixed(1500);
+  EXPECT_TRUE(cfg.Validate().empty());
+  cfg.workload.value_dist = wl::ValueDist::Fixed(400'000);
+  EXPECT_TRUE(HasErrorMentioning(cfg.Validate(), "282 fragments"));
+  // A key that fills the payload leaves no value budget at all.
+  cfg.workload.value_dist = wl::ValueDist::Fixed(64);
+  cfg.workload.key_size = 2000;
+  EXPECT_TRUE(HasErrorMentioning(cfg.Validate(), "leaves no room"));
+  // Fig.-14 mode sizes values itself, up to 1024B: a 500B key leaves 932B.
+  cfg = SmallConfig(Scheme::kOrbitCache);
+  cfg.workload.value_dist = wl::ValueDist::Fixed(64);
+  cfg.workload.key_size = 500;
+  EXPECT_TRUE(cfg.Validate().empty());
+  cfg.workload.twitter = &wl::Fig14Profiles()[0];
+  EXPECT_TRUE(HasErrorMentioning(cfg.Validate(), "1024B"));
+}
+
+TEST(TestbedValidate, HotInSetMustFitHalfTheKeys) {
+  TestbedConfig cfg = SmallConfig(Scheme::kOrbitCache);
+  cfg.workload.hot_in = true;
+  cfg.workload.hot_in_period = 10 * kMillisecond;
+  cfg.workload.num_keys = 100;
+  cfg.workload.hot_in_count = 50;
+  EXPECT_TRUE(cfg.Validate().empty());
+  cfg.workload.hot_in_count = 1000;
+  EXPECT_TRUE(HasErrorMentioning(cfg.Validate(), "hot_in_count"));
+}
+
+TEST(TestbedValidate, LinkAndRecirculationRatesMustBePositive) {
+  TestbedConfig cfg = SmallConfig(Scheme::kOrbitCache);
+  cfg.topo.client_link_gbps = 0;
+  cfg.topo.server_link_gbps = -1;
+  cfg.topo.asic.recirc_rate_gbps = 0;
+  const auto errors = cfg.Validate();
+  EXPECT_EQ(errors.size(), 3u);
+  EXPECT_TRUE(HasErrorMentioning(errors, "client_link_gbps"));
+  EXPECT_TRUE(HasErrorMentioning(errors, "server_link_gbps"));
+  EXPECT_TRUE(HasErrorMentioning(errors, "recirc_rate_gbps"));
+  cfg.topo.client_link_gbps = 0.001;
+  cfg.topo.server_link_gbps = 0.001;
+  cfg.topo.asic.recirc_rate_gbps = 0.001;
   EXPECT_TRUE(cfg.Validate().empty());
 }
 
