@@ -45,6 +45,33 @@ const MetricsRecord* FindRecord(
   return nullptr;
 }
 
+// The label a record carries for axis `name` ("" when it has none).
+std::string Param(const MetricsRecord& r, const char* name) {
+  for (const auto& [k, v] : r.params)
+    if (k == name) return v;
+  return std::string();
+}
+
+// Windows and bins of the fault-timeline experiments (fig_failures,
+// fig_fabric_failover). Warmup is 0: the full timeline is the result.
+void FaultTimelineScale(testbed::TestbedConfig& cfg, harness::Scale scale) {
+  cfg.warmup = 0;
+  switch (scale) {
+    case harness::Scale::kFull:
+      cfg.duration = 3 * kSecond;
+      cfg.timeline_bin = 50 * kMillisecond;
+      break;
+    case harness::Scale::kDefault:
+      cfg.duration = 900 * kMillisecond;
+      cfg.timeline_bin = 20 * kMillisecond;
+      break;
+    case harness::Scale::kQuick:
+      cfg.duration = 300 * kMillisecond;
+      cfg.timeline_bin = 10 * kMillisecond;
+      break;
+  }
+}
+
 const std::vector<testbed::Scheme> kAllSchemes = {
     testbed::Scheme::kNoCache, testbed::Scheme::kNetCache,
     testbed::Scheme::kOrbitCache};
@@ -435,7 +462,6 @@ ExperimentSpec Fig18Dynamic() {
     }
   };
   spec.run = harness::FixedLoadRun();
-  spec.include_timelines = true;
   spec.table_metrics = {"rx_mrps", "overflow_ratio", "collisions",
                         "stale_reads"};
   spec.epilogue = [](const std::vector<MetricsRecord>& rs) {
@@ -647,23 +673,7 @@ ExperimentSpec FigFailures() {
   spec.base.topo.client_rate_rps = 450'000;
   spec.base.client.max_retries = 3;
   spec.base.client.request_timeout = 5 * kMillisecond;
-  spec.scale_fn = [](testbed::TestbedConfig& cfg, harness::Scale scale) {
-    cfg.warmup = 0;  // the full timeline is the result
-    switch (scale) {
-      case harness::Scale::kFull:
-        cfg.duration = 3 * kSecond;
-        cfg.timeline_bin = 50 * kMillisecond;
-        break;
-      case harness::Scale::kDefault:
-        cfg.duration = 900 * kMillisecond;
-        cfg.timeline_bin = 20 * kMillisecond;
-        break;
-      case harness::Scale::kQuick:
-        cfg.duration = 300 * kMillisecond;
-        cfg.timeline_bin = 10 * kMillisecond;
-        break;
-    }
-  };
+  spec.scale_fn = FaultTimelineScale;
   // Builders run after scaling, so fault times track the scaled window:
   // the fault lands a third of the way in, leaving a pre-fault baseline
   // and room to observe recovery.
@@ -680,7 +690,6 @@ ExperimentSpec FigFailures() {
   spec.run = [](const harness::PointRun& p, harness::SaturationCache&) {
     return RunWithRecoveryAnalysis(p.config, /*recovered_frac=*/0.9);
   };
-  spec.include_timelines = true;
   spec.table_metrics = {"rx_mrps", "collapse_frac", "recovery_ms",
                         "retransmissions", "timeouts", "faults_injected"};
   spec.epilogue = [](const std::vector<MetricsRecord>& rs) {
@@ -741,16 +750,11 @@ ExperimentSpec FigFabric() {
       double min_racks = 0, max_racks = 0, min_rx = 0, max_rx = 0;
     };
     std::vector<Group> groups;
-    const auto param = [](const MetricsRecord& r, const char* name) {
-      for (const auto& [k, v] : r.params)
-        if (k == name) return v;
-      return std::string();
-    };
     for (const auto& r : rs) {
       if (!r.ok()) continue;
-      const std::string scheme = param(r, "scheme");
-      const std::string theta = param(r, "zipf_theta");
-      const double racks = std::atof(param(r, "racks").c_str());
+      const std::string scheme = Param(r, "scheme");
+      const std::string theta = Param(r, "zipf_theta");
+      const double racks = std::atof(Param(r, "racks").c_str());
       const double rx = r.Metric("rx_mrps");
       Group* g = nullptr;
       for (auto& cand : groups)
@@ -798,23 +802,7 @@ ExperimentSpec FigFabricFailover() {
   spec.base.topo.fabric.probe_interval = 100 * kMicrosecond;
   spec.base.client.max_retries = 3;
   spec.base.client.request_timeout = 5 * kMillisecond;
-  spec.scale_fn = [](testbed::TestbedConfig& cfg, harness::Scale scale) {
-    cfg.warmup = 0;  // the full timeline is the result
-    switch (scale) {
-      case harness::Scale::kFull:
-        cfg.duration = 3 * kSecond;
-        cfg.timeline_bin = 50 * kMillisecond;
-        break;
-      case harness::Scale::kDefault:
-        cfg.duration = 900 * kMillisecond;
-        cfg.timeline_bin = 20 * kMillisecond;
-        break;
-      case harness::Scale::kQuick:
-        cfg.duration = 300 * kMillisecond;
-        cfg.timeline_bin = 10 * kMillisecond;
-        break;
-    }
-  };
+  spec.scale_fn = FaultTimelineScale;
   // Axis order: scenario (slowest) × detection window × rack count, so the
   // table groups each fault's window sweep per rack count. Fault builders
   // run after scaling and after the rack axis, so event times track the
@@ -846,16 +834,10 @@ ExperimentSpec FigFabricFailover() {
     // restore ≥95% within the detection window plus the rebuild delay.
     return RunWithRecoveryAnalysis(p.config, /*recovered_frac=*/0.95);
   };
-  spec.include_timelines = true;
   spec.table_metrics = {"rx_mrps",      "collapse_frac",      "recovery_ms",
                         "reroutes",     "blackholed_packets", "retransmissions",
                         "retries_exhausted"};
   spec.epilogue = [](const std::vector<MetricsRecord>& rs) {
-    const auto param = [](const MetricsRecord& r, const char* name) {
-      for (const auto& [k, v] : r.params)
-        if (k == name) return v;
-      return std::string();
-    };
     for (const auto& r : rs) {
       if (!r.ok()) continue;
       const std::string recovery =
@@ -866,8 +848,8 @@ ExperimentSpec FigFabricFailover() {
       std::printf(
           "  %s window=%sms racks=%s: collapse %.0f%%, recovery %s, "
           "%" PRIu64 " reroutes, %" PRIu64 " blackholed\n",
-          param(r, "fault").c_str(), param(r, "detection_window_ms").c_str(),
-          param(r, "racks").c_str(), 100 * r.Metric("collapse_frac"),
+          Param(r, "fault").c_str(), Param(r, "detection_window_ms").c_str(),
+          Param(r, "racks").c_str(), 100 * r.Metric("collapse_frac"),
           recovery.c_str(), static_cast<uint64_t>(r.Metric("reroutes")),
           static_cast<uint64_t>(r.Metric("blackholed_packets")));
     }

@@ -46,8 +46,7 @@ void ClientNode::Stop() {
   pending_.clear();
 }
 
-void ClientNode::OpenWindow(SimTime at) {
-  rx_meter_.Open(at);
+void ClientNode::OpenWindow() {
   window_open_ = true;
   lat_cached_.Reset();
   lat_server_.Reset();
@@ -55,10 +54,7 @@ void ClientNode::OpenWindow(SimTime at) {
   lat_switch_.Reset();
 }
 
-void ClientNode::CloseWindow(SimTime at) {
-  rx_meter_.Close(at);
-  window_open_ = false;
-}
+void ClientNode::CloseWindow() { window_open_ = false; }
 
 void ClientNode::SendNext() {
   if (!running_) return;
@@ -274,8 +270,6 @@ void ClientNode::HandleReply(const sim::Packet& pkt) {
   }
 
   ++stats_.rx_replies;
-  rx_meter_.Add();
-  if (timeline_ != nullptr) timeline_->Add(sim_->now());
   if (window_open_) RecordLatency(pkt, pending);
   if (flight_ != nullptr)
     flight_->Note(flight_comp_, sim_->now(), "rx", msg.seq,

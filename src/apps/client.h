@@ -8,8 +8,8 @@
 //   * hash-collision resolution (§3.6): when a reply's key differs from
 //     the requested key, send a CRN-REQ so the storage server supplies the
 //     correct value, and
-//   * latency/throughput measurement, with switch- vs server-handled
-//     attribution via the prototype's Cached/Latency header fields.
+//   * latency measurement, with switch- vs server-handled attribution via
+//     the prototype's Cached/Latency header fields.
 //
 // It also performs stale-read detection for the coherence test suite: the
 // server assigns monotonically increasing per-key versions, so a read
@@ -28,8 +28,6 @@
 #include "sim/node.h"
 #include "sim/simulator.h"
 #include "stats/histogram.h"
-#include "stats/meters.h"
-#include "stats/time_series.h"
 
 namespace orbit::telemetry {
 class FlightRecorder;
@@ -96,11 +94,11 @@ class ClientNode : public sim::Node, public sim::TimerHandler {
   // Timer demux: the Tx-tick sentinel or a packed (seq, attempt) deadline.
   void OnTimer(uint64_t arg) override;
 
-  // Opens the measurement window (called by the testbed after warmup).
-  void OpenWindow(SimTime at);
-  void CloseWindow(SimTime at);
-  // Optional per-reply timeline for the dynamic-workload experiment.
-  void AttachTimeline(stats::TimeSeries* timeline) { timeline_ = timeline; }
+  // The measurement window gates the latency histograms: OpenWindow clears
+  // them and starts recording (the testbed calls it after warmup),
+  // CloseWindow stops.
+  void OpenWindow();
+  void CloseWindow();
 
   // Telemetry (optional): the client is where request lifecycles start.
   // It decides which requests are sampled, opens each flow and stamps
@@ -142,7 +140,6 @@ class ClientNode : public sim::Node, public sim::TimerHandler {
   };
   const Stats& stats() const { return stats_; }
 
-  const stats::ThroughputMeter& rx_meter() const { return rx_meter_; }
   // Latency of read replies served by the switch cache vs by servers, plus
   // write latency and switch-resident time (the header Latency field).
   const stats::Histogram& cached_read_latency() const { return lat_cached_; }
@@ -200,12 +197,10 @@ class ClientNode : public sim::Node, public sim::TimerHandler {
   std::unordered_map<uint32_t, Pending> pending_;
   std::unordered_map<Key, uint64_t> last_version_;  // staleness tracking
 
-  stats::ThroughputMeter rx_meter_;
   stats::Histogram lat_cached_;
   stats::Histogram lat_server_;
   stats::Histogram lat_write_;
   stats::Histogram lat_switch_;
-  stats::TimeSeries* timeline_ = nullptr;
   bool window_open_ = false;
 
   telemetry::IntSink* int_ = nullptr;

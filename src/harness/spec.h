@@ -125,8 +125,8 @@ struct ExperimentSpec {
 
   RunFn run;  // defaults to SaturationRun() when unset
 
-  // Result shaping.
-  bool include_timelines = false;
+  // Result shaping. Timelines are reported whenever the point's config
+  // sets timeline_bin.
   bool include_server_loads = false;
   // Metric keys the text table prints (params always lead the row).
   std::vector<std::string> table_metrics = {"rx_mrps", "read_p50_us",
@@ -137,10 +137,6 @@ struct ExperimentSpec {
   std::function<void(const std::vector<MetricsRecord>&)> epilogue;
 
   size_t GridSize() const;  // product over axes (excludes repetitions)
-  ExperimentSpec& WithTableMetrics(std::vector<std::string> metrics) {
-    table_metrics = std::move(metrics);
-    return *this;
-  }
 };
 
 // Stable per-point seed derivation: rep 0 returns base_seed unchanged (so

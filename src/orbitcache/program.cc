@@ -335,11 +335,13 @@ IngressResult OrbitProgram::HandleServerReply(sim::Packet& pkt) {
       valid_.at(idx) = 1;
     }
   } else {
-    if (valid_.at(idx) != 0 && config_.epoch_guard) {
+    if (valid_.at(idx) != 0 && config_.epoch_guard && config_.enable_cloning) {
       // Duplicate fetch/write reply (e.g. a retransmitted F-REQ whose
       // original reply was merely delayed): the entry already has a live
       // cache packet for this epoch, so cloning again would put two
-      // packets in orbit for one key. Forward the ack only.
+      // packets in orbit for one key. Forward the ack only. Without
+      // cloning a serve hands the entry's only packet to the client, so a
+      // valid entry's refetch reply is its next cache packet.
       return IngressResult::ToAddr(pkt.dst);
     }
     valid_.at(idx) = 1;

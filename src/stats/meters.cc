@@ -4,12 +4,6 @@
 
 namespace orbit::stats {
 
-double ThroughputMeter::RatePerSec() const {
-  const SimTime span = window_end_ - window_start_;
-  if (span <= 0) return 0;
-  return static_cast<double>(count_) * kSecond / static_cast<double>(span);
-}
-
 uint64_t LoadTracker::total() const {
   uint64_t sum = 0;
   for (uint64_t c : counts_) sum += c;

@@ -1,40 +1,11 @@
-// Throughput and load accounting.
+// Per-server load accounting.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "common/types.h"
-
 namespace orbit::stats {
-
-// Counts events over an explicit measurement window; the testbed opens the
-// window after warmup.
-class ThroughputMeter {
- public:
-  void Open(SimTime at) {
-    window_start_ = at;
-    count_ = 0;
-    open_ = true;
-  }
-  void Close(SimTime at) {
-    window_end_ = at;
-    open_ = false;
-  }
-  void Add(uint64_t n = 1) {
-    if (open_) count_ += n;
-  }
-
-  uint64_t count() const { return count_; }
-  // Events per second over the (closed) window.
-  double RatePerSec() const;
-
- private:
-  SimTime window_start_ = 0;
-  SimTime window_end_ = 0;
-  uint64_t count_ = 0;
-  bool open_ = false;
-};
 
 // Per-server request counts; balancing efficiency is the paper's Fig. 13(b)
 // metric: min server throughput / max server throughput.

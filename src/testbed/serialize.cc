@@ -17,10 +17,16 @@ JsonValue ConfigJson(const TestbedConfig& config) {
   out.Set("key_size", static_cast<int64_t>(config.workload.key_size));
   out.Set("zipf_theta", config.workload.zipf_theta);
   {
+    const wl::ValueDist& dist = config.workload.value_dist;
     JsonValue vd = JsonValue::MakeObject();
-    vd.Set("min", static_cast<int64_t>(config.workload.value_dist.min_size()));
-    vd.Set("max", static_cast<int64_t>(config.workload.value_dist.max_size()));
-    vd.Set("mean", config.workload.value_dist.mean_size());
+    if (dist.bimodal()) {
+      vd.Set("small", static_cast<int64_t>(dist.small_size()));
+      vd.Set("large", static_cast<int64_t>(dist.large_size()));
+      vd.Set("p_small", dist.p_small());
+      vd.Set("seed", std::to_string(dist.seed()));
+    } else {
+      vd.Set("size", static_cast<int64_t>(dist.fixed_size()));
+    }
     out.Set("value_dist", std::move(vd));
   }
   out.Set("write_ratio", config.workload.write_ratio);

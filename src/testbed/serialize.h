@@ -17,7 +17,8 @@ namespace orbit::testbed {
 
 // Every outcome-affecting TestbedConfig field as an ordered JSON object.
 // The twitter profile pointer serializes as the profile id; the value
-// distribution as its (min, max, mean) signature.
+// distribution as its parameters: a Fixed one's size, or a Bimodal one's
+// two sizes, p_small and seed.
 harness::JsonValue ConfigJson(const TestbedConfig& config);
 
 // Canonical string identity of a config: two configs with equal

@@ -37,6 +37,21 @@ constexpr SimTime kUplinkDelay = 500;  // ns one way
 // Fig.-14 mode's two value sizes.
 constexpr uint32_t kTwitterSmallValue = 64;
 constexpr uint32_t kTwitterLargeValue = 1024;
+
+// Every cumulative counter a result or its timelines report. A reported
+// number is the difference of two tallies: a result field is the end
+// tally minus the warmup tally, and timeline bin k is the tally read at
+// (k+1)·bin minus the one read at k·bin.
+struct Tally {
+  uint64_t tx_requests = 0;  // summed over the clients
+  uint64_t rx_replies = 0;
+  std::vector<uint64_t> server_requests;  // one per server
+  uint64_t server_dropped = 0;
+  // Summed over the leaves; only the fields the result reads are filled.
+  oc::OrbitProgram::Stats orbit;
+  nc::NetProgram::Stats net;
+  uint64_t recirc_drops = 0;
+};
 }  // namespace
 
 const char* SchemeName(Scheme scheme) {
@@ -627,73 +642,71 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
   if (failover != nullptr) failover->Start();
   if (injector != nullptr) injector->Arm();
 
+  // The one read of every counter the result and its timelines use.
+  const auto read_tally = [&] {
+    Tally t;
+    for (const auto& c : clients) {
+      t.tx_requests += c->stats().tx_requests;
+      t.rx_replies += c->stats().rx_replies;
+    }
+    for (const auto& s : servers) {
+      t.server_requests.push_back(s->stats().requests);
+      t.server_dropped += s->stats().dropped;
+    }
+    for (const oc::OrbitProgram* p : orbits) {
+      const auto& s = p->stats();
+      t.orbit.read_hits += s.read_hits;
+      t.orbit.absorbed += s.absorbed;
+      t.orbit.overflow_to_server += s.overflow_to_server;
+      t.orbit.invalid_to_server += s.invalid_to_server;
+      t.orbit.served_by_cache += s.served_by_cache;
+      t.orbit.wb_returned_replies += s.wb_returned_replies;
+      t.orbit.cp_drop_evicted += s.cp_drop_evicted;
+      t.orbit.cp_drop_invalid += s.cp_drop_invalid;
+      t.orbit.cp_drop_epoch += s.cp_drop_epoch;
+      t.orbit.validations += s.validations;
+    }
+    for (const nc::NetProgram* p : netps) {
+      t.net.read_hits += p->stats().read_hits;
+      t.net.served_by_cache += p->stats().served_by_cache;
+    }
+    for (int r = 0; r < racks; ++r)
+      t.recirc_drops += topo.leaf(r).stats().recirc_drops;
+    return t;
+  };
+
   // Periodic observers. Each is one allocation for the whole run (the
   // self-rearming PeriodicTask) instead of one std::function per firing;
   // unfired timers are dropped, not invoked, when `sim` dies at scope exit.
-  std::unique_ptr<sim::PeriodicTask> overflow_sampler;
+  std::unique_ptr<sim::PeriodicTask> timeline_sampler;
   std::unique_ptr<sim::PeriodicTask> telemetry_snapper;
   std::unique_ptr<sim::PeriodicTask> hot_in_swapper;
 
-  stats::TimeSeries throughput_timeline(
-      config.timeline_bin > 0 ? config.timeline_bin : kSecond);
-  stats::TimeSeries overflow_hits_timeline(
-      config.timeline_bin > 0 ? config.timeline_bin : kSecond);
-  stats::TimeSeries overflow_ovf_timeline(
-      config.timeline_bin > 0 ? config.timeline_bin : kSecond);
-  // Cache/program counters in the result are sums over the leaves.
-  const auto sum_orbit_stats = [&orbits] {
-    oc::OrbitProgram::Stats sum;
-    for (const oc::OrbitProgram* p : orbits) {
-      const auto& s = p->stats();
-      sum.read_hits += s.read_hits;
-      sum.absorbed += s.absorbed;
-      sum.overflow_to_server += s.overflow_to_server;
-      sum.invalid_to_server += s.invalid_to_server;
-      sum.served_by_cache += s.served_by_cache;
-      sum.wb_returned_replies += s.wb_returned_replies;
-      sum.cp_drop_evicted += s.cp_drop_evicted;
-      sum.cp_drop_invalid += s.cp_drop_invalid;
-      sum.cp_drop_epoch += s.cp_drop_epoch;
-      sum.validations += s.validations;
-    }
-    return sum;
-  };
-  const auto sum_net_stats = [&netps] {
-    nc::NetProgram::Stats sum;
-    for (const nc::NetProgram* p : netps) {
-      const auto& s = p->stats();
-      sum.read_hits += s.read_hits;
-      sum.served_by_cache += s.served_by_cache;
-    }
-    return sum;
-  };
-  const auto sum_recirc_drops = [&topo, racks] {
-    uint64_t sum = 0;
-    for (int r = 0; r < racks; ++r) sum += topo.leaf(r).stats().recirc_drops;
-    return sum;
-  };
+  TestbedResult res;
   if (config.timeline_bin > 0) {
-    for (auto& c : clients) c->AttachTimeline(&throughput_timeline);
-    if (!orbits.empty()) {
-      // Sample hit/overflow deltas each bin for the overflow-ratio series.
-      // "Overflow" here matches the paper's Fig. 18 notion: requests for
-      // cached keys that had to go to a server — queue overflows plus
-      // reads arriving while the entry's fetch is still pending (invalid).
-      auto last_hits = std::make_shared<uint64_t>(0);
-      auto last_ovf = std::make_shared<uint64_t>(0);
-      overflow_sampler = std::make_unique<sim::PeriodicTask>(
-          &sim, config.timeline_bin, [&, last_hits, last_ovf] {
-            const auto s = sum_orbit_stats();
-            const uint64_t ovf = s.overflow_to_server + s.invalid_to_server;
-            overflow_hits_timeline.Add(
-                sim.now() - 1, static_cast<double>(s.read_hits - *last_hits));
-            overflow_ovf_timeline.Add(sim.now() - 1,
-                                      static_cast<double>(ovf - *last_ovf));
-            *last_hits = s.read_hits;
-            *last_ovf = ovf;
-          });
-      overflow_sampler->Start();
-    }
+    // The sampler's event for instant k·bin is pushed at (k−1)·bin, before
+    // any packet delivery at that instant, so a reply landing exactly at
+    // k·bin counts in bin k. "Overflow" matches the paper's Fig. 18
+    // notion: requests for cached keys that had to go to a server — queue
+    // overflows plus reads arriving while the entry's fetch is still
+    // pending (invalid).
+    timeline_sampler = std::make_unique<sim::PeriodicTask>(
+        &sim, config.timeline_bin, [&, prev = read_tally()]() mutable {
+          Tally now = read_tally();
+          res.throughput_timeline.push_back(
+              static_cast<double>(now.rx_replies - prev.rx_replies) *
+              static_cast<double>(kSecond) /
+              static_cast<double>(config.timeline_bin));
+          const uint64_t hits = now.orbit.read_hits - prev.orbit.read_hits;
+          const uint64_t ovf =
+              now.orbit.overflow_to_server + now.orbit.invalid_to_server -
+              prev.orbit.overflow_to_server - prev.orbit.invalid_to_server;
+          res.overflow_ratio_timeline.push_back(
+              hits > 0 ? static_cast<double>(ovf) / static_cast<double>(hits)
+                       : 0.0);
+          prev = std::move(now);
+        });
+    timeline_sampler->Start();
   }
 
   std::vector<telemetry::Snapshot> telemetry_snapshots;
@@ -713,43 +726,23 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
     hot_in_swapper->Start();
   }
 
-  // Warmup, then snapshot counters and open measurement windows.
-  struct Snapshot {
-    oc::OrbitProgram::Stats oc;
-    nc::NetProgram::Stats nc;
-    std::vector<app::ServerNode::Stats> servers;
-    uint64_t client_tx = 0;
-    uint64_t recirc_drops = 0;
-  };
-  Snapshot snap;
+  // Warmup, then the measurement window.
   sim.RunUntil(config.warmup);
-  snap.oc = sum_orbit_stats();
-  snap.nc = sum_net_stats();
-  for (auto& s : servers) snap.servers.push_back(s->stats());
-  for (auto& c : clients) {
-    snap.client_tx += c->stats().tx_requests;
-    c->OpenWindow(sim.now());
-  }
-  snap.recirc_drops = sum_recirc_drops();
-
-  const SimTime end = config.warmup + config.duration;
-  sim.RunUntil(end);
-  for (auto& c : clients) c->CloseWindow(sim.now());
+  const Tally at_warmup = read_tally();
+  for (auto& c : clients) c->OpenWindow();
+  sim.RunUntil(config.warmup + config.duration);
+  const Tally at_end = read_tally();
+  for (auto& c : clients) c->CloseWindow();
   // Stop before collecting so requests still on the wire are retired into
   // inflight_at_stop (and queued callbacks don't fire into destroyed
   // nodes; the simulator dies with everything else at scope exit anyway).
   for (auto& c : clients) c->Stop();
 
   // ---- collect ------------------------------------------------------------
-  TestbedResult res;
   const double secs =
       static_cast<double>(config.duration) / static_cast<double>(kSecond);
 
-  uint64_t rx = 0;
-  uint64_t tx = 0;
   for (auto& c : clients) {
-    rx += c->rx_meter().count();
-    tx += c->stats().tx_requests;
     res.read_cached_latency.Merge(c->cached_read_latency());
     res.read_server_latency.Merge(c->server_read_latency());
     res.write_latency.Merge(c->write_latency());
@@ -765,29 +758,28 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
   if (failover != nullptr) res.reroutes = failover->stats().reroutes;
   // Counted whether or not failover is rerouting.
   res.blackholed_packets = topo.blackholed_packets();
-  res.rx_rps = static_cast<double>(rx) / secs;
-  res.tx_rps = static_cast<double>(tx - snap.client_tx) / secs;
+  res.rx_rps =
+      static_cast<double>(at_end.rx_replies - at_warmup.rx_replies) / secs;
+  res.tx_rps =
+      static_cast<double>(at_end.tx_requests - at_warmup.tx_requests) / secs;
 
   stats::LoadTracker loads(static_cast<size_t>(config.topo.num_servers));
-  for (size_t i = 0; i < servers.size(); ++i) {
-    const auto& s1 = servers[i]->stats();
-    const auto& s0 = snap.servers[i];
-    loads.Add(i, s1.requests - s0.requests);
-    res.server_drops += s1.dropped - s0.dropped;
-  }
+  for (size_t i = 0; i < servers.size(); ++i)
+    loads.Add(i, at_end.server_requests[i] - at_warmup.server_requests[i]);
+  res.server_drops = at_end.server_dropped - at_warmup.server_dropped;
   res.server_loads = loads.counts();
   res.balancing_efficiency = loads.BalancingEfficiency();
   res.server_served_rps = static_cast<double>(loads.total()) / secs;
 
   if (!orbits.empty()) {
-    const auto s1 = sum_orbit_stats();
-    res.lookup_hits = s1.read_hits - snap.oc.read_hits;
-    res.absorbed = s1.absorbed - snap.oc.absorbed;
-    res.overflows = s1.overflow_to_server - snap.oc.overflow_to_server;
+    const oc::OrbitProgram::Stats& s0 = at_warmup.orbit;
+    const oc::OrbitProgram::Stats& s1 = at_end.orbit;
+    res.lookup_hits = s1.read_hits - s0.read_hits;
+    res.absorbed = s1.absorbed - s0.absorbed;
+    res.overflows = s1.overflow_to_server - s0.overflow_to_server;
     res.cache_served_rps =
-        static_cast<double>(s1.served_by_cache - snap.oc.served_by_cache +
-                            s1.wb_returned_replies -
-                            snap.oc.wb_returned_replies) /
+        static_cast<double>(s1.served_by_cache - s0.served_by_cache +
+                            s1.wb_returned_replies - s0.wb_returned_replies) /
         secs;
     res.overflow_ratio =
         res.lookup_hits > 0
@@ -806,14 +798,13 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
     res.controller_cache_size = fab_ctrl->TotalCacheSize();
   }
   if (!netps.empty()) {
-    const auto s1 = sum_net_stats();
-    res.lookup_hits = s1.read_hits - snap.nc.read_hits;
-    res.cache_served_rps =
-        static_cast<double>(s1.served_by_cache - snap.nc.served_by_cache) /
-        secs;
+    res.lookup_hits = at_end.net.read_hits - at_warmup.net.read_hits;
+    res.cache_served_rps = static_cast<double>(at_end.net.served_by_cache -
+                                               at_warmup.net.served_by_cache) /
+                           secs;
     for (const nc::NetProgram* p : netps) res.cache_entries += p->num_entries();
   }
-  res.recirc_drops = sum_recirc_drops() - snap.recirc_drops;
+  res.recirc_drops = at_end.recirc_drops - at_warmup.recirc_drops;
   // All leaves run the identical program: one leaf's RMT ledger is the
   // per-switch usage story (a fabric does not pool SRAM across switches).
   const rmt::Resources& rmt_usage = topo.leaf(0).resources();
@@ -826,25 +817,6 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
   // it so the reported count — and therefore the record JSONL — is
   // identical with instrumentation on or off.
   res.events_processed = sim.events_processed() - telemetry_timer_events;
-
-  if (config.timeline_bin > 0) {
-    res.throughput_timeline = throughput_timeline.bins();
-    for (double& v : res.throughput_timeline)
-      v = v * static_cast<double>(kSecond) /
-          static_cast<double>(config.timeline_bin);
-    const size_t n = std::max(overflow_hits_timeline.num_bins(),
-                              overflow_ovf_timeline.num_bins());
-    res.overflow_ratio_timeline.resize(n, 0.0);
-    for (size_t i = 0; i < n; ++i) {
-      const double hits = i < overflow_hits_timeline.num_bins()
-                              ? overflow_hits_timeline.bin(i)
-                              : 0;
-      const double ovf = i < overflow_ovf_timeline.num_bins()
-                             ? overflow_ovf_timeline.bin(i)
-                             : 0;
-      res.overflow_ratio_timeline[i] = hits > 0 ? ovf / hits : 0.0;
-    }
-  }
 
   if (capture_on) {
     telemetry::RunCapture* cap = config.telemetry.capture;
@@ -899,12 +871,12 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
     } else if (config.workload.write_ratio > 0 ||
                config.workload.twitter != nullptr) {
       census_skip = "writes invalidate entries while packets still orbit";
-    } else if (sum_recirc_drops() > 0) {
+    } else if (at_end.recirc_drops > 0) {
       census_skip = "recirculation ring dropped cache packets";
-    } else {
-      const auto s1 = sum_orbit_stats();
-      if (s1.cp_drop_evicted + s1.cp_drop_invalid + s1.cp_drop_epoch > 0)
-        census_skip = "cache packets were retired mid-run";
+    } else if (at_end.orbit.cp_drop_evicted + at_end.orbit.cp_drop_invalid +
+                   at_end.orbit.cp_drop_epoch >
+               0) {
+      census_skip = "cache packets were retired mid-run";
     }
     for (int r = 0; census_skip.empty() && r < racks; ++r) {
       const auto& cs = fab_ctrl->controller(r).stats();

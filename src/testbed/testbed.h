@@ -19,7 +19,6 @@
 #include "fault/fault.h"
 #include "rmt/resources.h"
 #include "stats/histogram.h"
-#include "stats/time_series.h"
 #include "workload/twitter.h"
 #include "workload/value_dist.h"
 
@@ -228,7 +227,9 @@ struct TestbedResult {
   size_t cache_entries = 0;
   size_t controller_cache_size = 0;  // dynamic-sizing outcome
 
-  // Timelines (empty when timeline_bin == 0).
+  // Timelines (empty when timeline_bin == 0). Each holds
+  // ⌊(warmup + duration) / timeline_bin⌋ entries; entry k covers
+  // [k·timeline_bin, (k+1)·timeline_bin) from t = 0, warmup included.
   std::vector<double> throughput_timeline;      // replies/s per bin
   std::vector<double> overflow_ratio_timeline;  // per bin
 

@@ -30,6 +30,15 @@ class ValueDist {
   uint32_t max_size() const;
   double mean_size() const;
 
+  // The parameters the distribution was built from: fixed_size() for a
+  // Fixed one, the rest for a Bimodal one.
+  bool bimodal() const { return kind_ == Kind::kBimodal; }
+  uint32_t fixed_size() const { return fixed_size_; }
+  uint32_t small_size() const { return small_size_; }
+  uint32_t large_size() const { return large_size_; }
+  double p_small() const { return p_small_; }
+  uint64_t seed() const { return seed_; }
+
  private:
   enum class Kind { kFixed, kBimodal };
   Kind kind_ = Kind::kFixed;

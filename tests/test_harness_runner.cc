@@ -217,5 +217,28 @@ TEST(SaturationCacheTest, FailedComputeIsEvictedAndRetried) {
   EXPECT_EQ(calls, 2);
 }
 
+TEST(SaturationCacheTest, ValueSeedIsPartOfTheKey) {
+  // Bimodal sizes at two seeds share their min, max and mean but give
+  // keys different sizes, so each config needs its own search.
+  int calls = 0;
+  SaturationCache cache([&calls](const testbed::TestbedConfig&, double, int) {
+    ++calls;
+    return testbed::SaturationResult{};
+  });
+  testbed::TestbedConfig seed0;
+  seed0.scheme = testbed::Scheme::kNetCache;
+  seed0.topo.num_servers = 8;
+  seed0.topo.server_rate_rps = 50'000;
+  seed0.workload.num_keys = 50'000;
+  seed0.workload.value_dist = wl::ValueDist::Bimodal(64, 1024, 0.82, 0);
+  testbed::TestbedConfig seed7 = seed0;
+  seed7.workload.value_dist = wl::ValueDist::Bimodal(64, 1024, 0.82, 7);
+  (void)cache.Get(seed0, 0.03, 0);
+  (void)cache.Get(seed7, 0.03, 0);
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(calls, 2);
+}
+
 }  // namespace
 }  // namespace orbit::harness

@@ -5,31 +5,6 @@
 namespace orbit::stats {
 namespace {
 
-TEST(ThroughputMeter, CountsOnlyWhileOpen) {
-  ThroughputMeter m;
-  m.Add();  // before open: ignored
-  m.Open(1 * kSecond);
-  m.Add();
-  m.Add(3);
-  m.Close(2 * kSecond);
-  m.Add();  // after close: ignored
-  EXPECT_EQ(m.count(), 4u);
-  EXPECT_DOUBLE_EQ(m.RatePerSec(), 4.0);
-}
-
-TEST(ThroughputMeter, RateScalesWithWindow) {
-  ThroughputMeter m;
-  m.Open(0);
-  for (int i = 0; i < 500; ++i) m.Add();
-  m.Close(kSecond / 2);
-  EXPECT_DOUBLE_EQ(m.RatePerSec(), 1000.0);
-}
-
-TEST(ThroughputMeter, EmptyWindowIsZero) {
-  ThroughputMeter m;
-  EXPECT_EQ(m.RatePerSec(), 0.0);
-}
-
 TEST(LoadTracker, TracksPerServerCounts) {
   LoadTracker lt(4);
   lt.Add(0, 10);

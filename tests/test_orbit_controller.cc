@@ -237,6 +237,30 @@ TEST(Controller, NoCloningRefetchesEachServeAfterTheCpuTurnaround) {
   EXPECT_NE(rig.FindReply(3), nullptr);
 }
 
+TEST(Controller, NoCloningServesAgainOnceTheRefetchReturns) {
+  // A no-cloning serve hands the entry's only cache packet to the client
+  // while the entry stays valid; the refetched value must orbit as the
+  // next cache packet rather than be taken for a duplicate.
+  RigConfig cfg = ControllerRig();
+  cfg.orbit.enable_cloning = false;
+  Rig rig(cfg);
+  const Key a = K(1);
+  rig.controller().Preload({a});
+  rig.Settle();
+
+  rig.SendRead(a, 1);
+  rig.Settle();
+  ASSERT_NE(rig.FindReply(1), nullptr);
+  EXPECT_EQ(rig.FindReply(1)->msg.cached, 1);
+  ASSERT_EQ(rig.program().stats().refetches, 1u);
+
+  rig.SendRead(a, 2);
+  rig.Settle();
+  ASSERT_NE(rig.FindReply(2), nullptr) << "no cache packet answered";
+  EXPECT_EQ(rig.FindReply(2)->msg.cached, 1);
+  EXPECT_EQ(rig.program().stats().served_by_cache, 2u);
+}
+
 TEST(Controller, RefusesOversizedConfiguration) {
   RigConfig cfg = ControllerRig();
   cfg.controller.max_cache_size = 999;  // > data-plane capacity of 32
