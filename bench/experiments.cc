@@ -83,9 +83,7 @@ const std::vector<testbed::Scheme> kAllSchemes = {
 JsonValue RunWithRecoveryAnalysis(const testbed::TestbedConfig& config,
                                   double recovered_frac) {
   const testbed::TestbedResult res = testbed::RunTestbed(config);
-  testbed::ResultMetricsOptions opts;
-  opts.include_timelines = true;
-  JsonValue metrics = testbed::ResultMetrics(res, opts);
+  JsonValue metrics = testbed::ResultMetrics(res);
   metrics.Set("window_s", static_cast<double>(config.duration) / kSecond);
   metrics.Set("timeline_bin_s",
               static_cast<double>(config.timeline_bin) / kSecond);

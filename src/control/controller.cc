@@ -227,7 +227,7 @@ void CacheController::OnPacket(sim::PacketPtr pkt, int /*port*/) {
   switch (pkt->msg.op) {
     case Op::kFetchRep:
       sim::MarkEnd(*pkt, sim::PacketEnd::kConsumed);
-      pending_fetches_.erase(pkt->msg.key);
+      FetchDone(pkt->msg.key);
       return;
     case Op::kTopKReport:
       // One report packet per hot key; the count rides in value.version.

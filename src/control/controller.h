@@ -134,6 +134,9 @@ class CacheController : public sim::Node, public sim::TimerHandler {
   // it on its own). Returns false if `key` was not cached.
   bool Evict(const Key& key, bool erase_entry);
   void SendFetch(const Key& key, const Hash128& hkey, Addr server);
+  // Ends `key`'s pending fetch: its reply reached the controller, or the
+  // data plane kept it as the key's cache packet.
+  void FetchDone(const Key& key) { pending_fetches_.erase(key); }
 
   // The core's timer arguments; a scheme's own timers pick others.
   static constexpr uint64_t kTickArg = 0;

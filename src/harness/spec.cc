@@ -174,7 +174,6 @@ RunFn SaturationRun() {
       (void)testbed::RunTestbed(instrumented);
     }
     testbed::ResultMetricsOptions opts;
-    opts.include_timelines = p.config.timeline_bin > 0;
     opts.include_server_loads = p.spec->include_server_loads;
     JsonValue metrics = testbed::ResultMetrics(sat.result, opts);
     metrics.Set("window_s",
@@ -189,7 +188,6 @@ RunFn FixedLoadRun() {
   return [](const PointRun& p, SaturationCache&) {
     const testbed::TestbedResult res = testbed::RunTestbed(p.config);
     testbed::ResultMetricsOptions opts;
-    opts.include_timelines = p.config.timeline_bin > 0;
     opts.include_server_loads = p.spec->include_server_loads;
     JsonValue metrics = testbed::ResultMetrics(res, opts);
     metrics.Set("window_s",
@@ -216,7 +214,6 @@ RunFn FractionOfSaturationRun(std::string fraction_axis) {
     cfg.topo.client_rate_rps = fraction * sat.sat_tx_rps;
     const testbed::TestbedResult res = testbed::RunTestbed(cfg);
     testbed::ResultMetricsOptions opts;
-    opts.include_timelines = p.config.timeline_bin > 0;
     opts.include_server_loads = p.spec->include_server_loads;
     JsonValue metrics = testbed::ResultMetrics(res, opts);
     metrics.Set("sat_tx_mrps", sat.sat_tx_rps / 1e6);

@@ -27,6 +27,7 @@ Controller::Controller(sim::Simulator* sim, sim::Network* net,
       [this](const Key& key, const Hash128& hkey, Addr server) {
         RequestRefetch(key, hkey, server);
       });
+  program_->SetFetchedFn([this](const Key& key) { FetchDone(key); });
 }
 
 void Controller::AfterUpdate() {

@@ -14,7 +14,8 @@ namespace orbit::oc {
 
 class Controller : public ctrl::CacheController {
  public:
-  // Registers itself as `program`'s refetch target (no-cloning ablation).
+  // Registers itself as `program`'s refetch and fetch-completion target
+  // (no-cloning ablation).
   Controller(sim::Simulator* sim, sim::Network* net, OrbitProgram* program,
              const kv::Partitioner* partitioner,
              std::vector<Addr> server_addrs, Addr self_addr, int self_port,

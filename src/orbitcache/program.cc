@@ -65,7 +65,7 @@ bool OrbitProgram::InsertEntry(const Hash128& hkey, uint32_t idx) {
   // A fresh entry starts invalid; it becomes valid when its first cache
   // packet (F-REP) arrives. Bumping the epoch retires any packet still
   // orbiting under this index from a previously bound key.
-  valid_.at(idx) = 0;
+  valid_.at(idx) = kInvalid;
   epoch_.at(idx)++;
   popularity_.at(idx) = 0;
   acked_frags_.at(idx) = 0;
@@ -119,7 +119,7 @@ size_t OrbitProgram::RequestSnapshot() {
 void OrbitProgram::ResetDataPlane() {
   if (verifier_ != nullptr) verifier_->OnSwitchReset();
   lookup_.Clear();
-  valid_.Fill(0);
+  valid_.Fill(kInvalid);
   epoch_.Fill(0);
   popularity_.Fill(0);
   hit_counter_.get() = 0;
@@ -218,7 +218,7 @@ IngressResult OrbitProgram::HandleReadRequest(sim::Packet& pkt) {
   popularity_.at(idx)++;
   hit_counter_.get()++;
 
-  if (valid_.at(idx) == 0) {
+  if (valid_.at(idx) == kInvalid) {
     // Pending write: read from the server to avoid a stale value.
     ++stats_.invalid_to_server;
     device_->Note(pkt, "lookup_hit:invalid_bypass");
@@ -257,7 +257,7 @@ IngressResult OrbitProgram::HandleWriteRequest(sim::Packet& pkt) {
   device_->Note(pkt, config_.write_back ? "write_cached:write_back"
                                         : "write_cached:write_through");
 
-  if (config_.write_back && valid_.at(idx) != 0 &&
+  if (config_.write_back && valid_.at(idx) != kInvalid &&
       pkt.msg.value.size() <= proto::ValueBudget(pkt.msg.key.size())) {
     // Write-back extension (§3.10): the switch absorbs the write. The
     // packet is rewritten into reply form and multicast — the client copy
@@ -270,7 +270,7 @@ IngressResult OrbitProgram::HandleWriteRequest(sim::Packet& pkt) {
     const Addr client = pkt.src;
     const Addr server = pkt.dst;
     epoch_.at(idx)++;
-    valid_.at(idx) = 1;
+    valid_.at(idx) = kValid;
     dirty_.at(idx) = 1;
     frag_total_.at(idx) = 1;
     acked_frags_.at(idx) = 0;
@@ -299,7 +299,7 @@ IngressResult OrbitProgram::HandleWriteRequest(sim::Packet& pkt) {
 
   // Write-through (§3.3/§3.7): invalidate so reads cannot observe the old
   // value, flag the request so the server appends the new value, forward.
-  valid_.at(idx) = 0;
+  valid_.at(idx) = kInvalid;
   epoch_.at(idx)++;
   fetched_frags_.at(idx) = 0;
   pkt.msg.epoch = epoch_.at(idx);
@@ -331,20 +331,23 @@ IngressResult OrbitProgram::HandleServerReply(sim::Packet& pkt) {
     uint8_t& fetched = fetched_frags_.at(idx);
     if (fetched < pkt.msg.frag_total) ++fetched;
     if (fetched >= pkt.msg.frag_total) {
-      if (valid_.at(idx) == 0) ++stats_.validations;
-      valid_.at(idx) = 1;
+      if (valid_.at(idx) == kInvalid) ++stats_.validations;
+      valid_.at(idx) = kValid;
     }
   } else {
-    if (valid_.at(idx) != 0 && config_.epoch_guard && config_.enable_cloning) {
+    if (valid_.at(idx) == kValid && config_.epoch_guard) {
       // Duplicate fetch/write reply (e.g. a retransmitted F-REQ whose
       // original reply was merely delayed): the entry already has a live
-      // cache packet for this epoch, so cloning again would put two
-      // packets in orbit for one key. Forward the ack only. Without
-      // cloning a serve hands the entry's only packet to the client, so a
-      // valid entry's refetch reply is its next cache packet.
+      // cache packet for this epoch, so another would put two packets in
+      // orbit for one key. Forward the ack only.
       return IngressResult::ToAddr(pkt.dst);
     }
-    valid_.at(idx) = 1;
+    // Without cloning only a fetch reply stays as the cache packet; a
+    // write reply leaves for its client, so the entry awaits a refetch.
+    valid_.at(idx) =
+        config_.enable_cloning || pkt.msg.op == proto::Op::kFetchRep
+            ? kValid
+            : kAwaitingRefetch;
     ++stats_.validations;
     device_->Note(pkt, "validate");
   }
@@ -353,11 +356,17 @@ IngressResult OrbitProgram::HandleServerReply(sim::Packet& pkt) {
 
   if (!config_.enable_cloning) {
     // Strawman mode: a fetch reply is consumed as the (single-use) cache
-    // packet; a write reply must still reach the client, so the entry
-    // waits for the next refetch to regain a packet.
+    // packet, so the program tells the controller its fetch completed. A
+    // write reply must still reach the client, so the entry asks for a
+    // refetch to regain a packet.
     if (pkt.msg.op == proto::Op::kFetchRep) {
+      if (fetched_) fetched_(pkt.msg.key);
       pkt.msg.op = proto::Op::kReadRep;
       return IngressResult::Recirculate();
+    }
+    if (refetch_) {
+      refetch_(pkt.msg.key, pkt.msg.hkey, pkt.src);
+      ++stats_.refetches;
     }
     return IngressResult::ToAddr(pkt.dst);
   }
@@ -390,7 +399,7 @@ IngressResult OrbitProgram::HandleCachePacket(sim::Packet& pkt,
     return IngressResult::Drop();
   }
   if (config_.write_back && flush_pending_.at(idx) != 0 &&
-      dirty_.at(idx) != 0 && valid_.at(idx) != 0) {
+      dirty_.at(idx) != 0 && valid_.at(idx) != kInvalid) {
     // Snapshot flush: fork the packet — the original carries the value to
     // its storage server as a silent flush write, the clone recirculates
     // and resumes serving as a clean cache packet.
@@ -405,7 +414,7 @@ IngressResult OrbitProgram::HandleCachePacket(sim::Packet& pkt,
     ++stats_.wb_snapshot_flushes;
     return CloneToAddrAndRecirc(pkt, server);
   }
-  if (valid_.at(idx) == 0) {
+  if (valid_.at(idx) == kInvalid) {
     if (config_.multi_packet && config_.epoch_guard) {
       // Epoch already matched, so this fragment belongs to the value being
       // assembled right now — keep it orbiting until the remaining
@@ -453,6 +462,7 @@ IngressResult OrbitProgram::ServeOrRecirculate(sim::Packet& pkt, uint32_t idx,
     if (!config_.enable_cloning) {
       // Strawman: the packet leaves for the client; ask the CPU to fetch a
       // replacement from the owning server.
+      valid_.at(idx) = kAwaitingRefetch;
       if (refetch_) {
         refetch_(pkt.msg.key, pkt.msg.hkey, server_src);
         ++stats_.refetches;

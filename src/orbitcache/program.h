@@ -112,11 +112,16 @@ class OrbitProgram : public rmt::SwitchProgram {
   };
   HitOverflow ReadAndResetHitOverflow();
 
-  // The no-cloning ablation needs a path to trigger a refetch from the
-  // switch CPU; the testbed wires this to the controller node.
+  // The no-cloning ablation's two notifications to the switch CPU, wired
+  // to the controller node. A serve or a write reply leaves the entry
+  // without a cache packet and asks for a refetch. A fetch reply kept as
+  // the entry's cache packet never reaches the controller, so the program
+  // reports that its fetch completed.
   using RefetchFn =
       std::function<void(const Key& key, const Hash128& hkey, Addr server)>;
+  using FetchedFn = std::function<void(const Key& key)>;
   void SetRefetchFn(RefetchFn fn) { refetch_ = std::move(fn); }
+  void SetFetchedFn(FetchedFn fn) { fetched_ = std::move(fn); }
 
   // Verification layer (src/verify/): observes write-back version mints,
   // data-plane resets, and (via the request table) ring-state invariants.
@@ -128,13 +133,15 @@ class OrbitProgram : public rmt::SwitchProgram {
 
   // ---- introspection (tests & experiments) -------------------------------
   const OrbitConfig& config() const { return config_; }
-  bool IsValid(uint32_t idx) const { return valid_.at(idx) != 0; }
-  // Non-counting census of valid entries for the verification layer's
-  // orbit check (IsValid's at() would perturb the accesses() telemetry).
+  bool IsValid(uint32_t idx) const { return valid_.at(idx) != kInvalid; }
+  // Non-counting census of the valid entries whose cache packet orbits —
+  // all of them, except those awaiting a no-cloning refetch — for the
+  // verification layer's orbit check (IsValid's at() would perturb the
+  // accesses() telemetry).
   size_t CountValidEntries() const {
     size_t n = 0;
     for (uint32_t i = 0; i < config_.capacity; ++i)
-      if (valid_.peek(i) != 0) ++n;
+      if (valid_.peek(i) == kValid) ++n;
     return n;
   }
   uint32_t EpochOf(uint32_t idx) const { return epoch_.at(idx); }
@@ -164,6 +171,13 @@ class OrbitProgram : public rmt::SwitchProgram {
   const Stats& stats() const { return stats_; }
 
  private:
+  // valid_ values. Without cloning a serve sends the entry's only cache
+  // packet to the client: the entry stays valid, so reads still queue,
+  // but awaits its refetched packet.
+  static constexpr uint8_t kInvalid = 0;
+  static constexpr uint8_t kValid = 1;
+  static constexpr uint8_t kAwaitingRefetch = 2;
+
   // RegisterCloneTarget: a rerouted address's cache packets fork toward
   // its new uplink.
   void OnRoute(Addr addr, int port) override;
@@ -218,6 +232,7 @@ class OrbitProgram : public rmt::SwitchProgram {
 
   int next_group_id_ = 1;
   RefetchFn refetch_;
+  FetchedFn fetched_;
   Stats stats_;
   verify::Verifier* verifier_ = nullptr;  // not owned; null = no checks
 

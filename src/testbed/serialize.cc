@@ -201,7 +201,7 @@ JsonValue ResultMetrics(const TestbedResult& result,
     for (uint64_t v : result.server_loads) loads.Append(v);
     out.Set("server_loads", std::move(loads));
   }
-  if (options.include_timelines) {
+  if (!result.throughput_timeline.empty()) {
     JsonValue tput = JsonValue::MakeArray();
     for (double v : result.throughput_timeline) tput.Append(v);
     out.Set("throughput_timeline_rps", std::move(tput));

@@ -26,13 +26,13 @@ harness::JsonValue ConfigJson(const TestbedConfig& config);
 std::string ConfigFingerprint(const TestbedConfig& config);
 
 struct ResultMetricsOptions {
-  bool include_timelines = false;
   bool include_server_loads = false;
 };
 
 // Flattens a TestbedResult into the harness metrics object: rates in
 // MRPS, latency percentiles in microseconds, ratios, protocol counters,
-// cache state, and RMT resource usage.
+// cache state, RMT resource usage, and the two timelines of a run that
+// has them (timeline_bin > 0).
 harness::JsonValue ResultMetrics(const TestbedResult& result,
                                  const ResultMetricsOptions& options = {});
 

@@ -47,9 +47,18 @@ struct Tally {
   uint64_t rx_replies = 0;
   std::vector<uint64_t> server_requests;  // one per server
   uint64_t server_dropped = 0;
-  // Summed over the leaves; only the fields the result reads are filled.
-  oc::OrbitProgram::Stats orbit;
-  nc::NetProgram::Stats net;
+  // Summed over the leaves' cache programs (OrbitCache or NetCache).
+  uint64_t lookup_hits = 0;
+  uint64_t cache_served = 0;  // with write-back's switch-minted replies
+  // OrbitCache only.
+  uint64_t absorbed = 0;
+  uint64_t overflows = 0;          // queue full: sent to a server
+  uint64_t invalid_to_server = 0;  // entry awaiting its value
+  uint64_t cp_drop_evicted = 0;
+  uint64_t cp_drop_invalid = 0;
+  uint64_t cp_drop_epoch = 0;
+  uint64_t validations = 0;
+  // Summed over the leaves.
   uint64_t recirc_drops = 0;
 };
 }  // namespace
@@ -655,20 +664,19 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
     }
     for (const oc::OrbitProgram* p : orbits) {
       const auto& s = p->stats();
-      t.orbit.read_hits += s.read_hits;
-      t.orbit.absorbed += s.absorbed;
-      t.orbit.overflow_to_server += s.overflow_to_server;
-      t.orbit.invalid_to_server += s.invalid_to_server;
-      t.orbit.served_by_cache += s.served_by_cache;
-      t.orbit.wb_returned_replies += s.wb_returned_replies;
-      t.orbit.cp_drop_evicted += s.cp_drop_evicted;
-      t.orbit.cp_drop_invalid += s.cp_drop_invalid;
-      t.orbit.cp_drop_epoch += s.cp_drop_epoch;
-      t.orbit.validations += s.validations;
+      t.lookup_hits += s.read_hits;
+      t.cache_served += s.served_by_cache + s.wb_returned_replies;
+      t.absorbed += s.absorbed;
+      t.overflows += s.overflow_to_server;
+      t.invalid_to_server += s.invalid_to_server;
+      t.cp_drop_evicted += s.cp_drop_evicted;
+      t.cp_drop_invalid += s.cp_drop_invalid;
+      t.cp_drop_epoch += s.cp_drop_epoch;
+      t.validations += s.validations;
     }
     for (const nc::NetProgram* p : netps) {
-      t.net.read_hits += p->stats().read_hits;
-      t.net.served_by_cache += p->stats().served_by_cache;
+      t.lookup_hits += p->stats().read_hits;
+      t.cache_served += p->stats().served_by_cache;
     }
     for (int r = 0; r < racks; ++r)
       t.recirc_drops += topo.leaf(r).stats().recirc_drops;
@@ -697,10 +705,9 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
               static_cast<double>(now.rx_replies - prev.rx_replies) *
               static_cast<double>(kSecond) /
               static_cast<double>(config.timeline_bin));
-          const uint64_t hits = now.orbit.read_hits - prev.orbit.read_hits;
-          const uint64_t ovf =
-              now.orbit.overflow_to_server + now.orbit.invalid_to_server -
-              prev.orbit.overflow_to_server - prev.orbit.invalid_to_server;
+          const uint64_t hits = now.lookup_hits - prev.lookup_hits;
+          const uint64_t ovf = now.overflows + now.invalid_to_server -
+                               prev.overflows - prev.invalid_to_server;
           res.overflow_ratio_timeline.push_back(
               hits > 0 ? static_cast<double>(ovf) / static_cast<double>(hits)
                        : 0.0);
@@ -771,16 +778,12 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
   res.balancing_efficiency = loads.BalancingEfficiency();
   res.server_served_rps = static_cast<double>(loads.total()) / secs;
 
+  res.lookup_hits = at_end.lookup_hits - at_warmup.lookup_hits;
+  res.cache_served_rps =
+      static_cast<double>(at_end.cache_served - at_warmup.cache_served) / secs;
   if (!orbits.empty()) {
-    const oc::OrbitProgram::Stats& s0 = at_warmup.orbit;
-    const oc::OrbitProgram::Stats& s1 = at_end.orbit;
-    res.lookup_hits = s1.read_hits - s0.read_hits;
-    res.absorbed = s1.absorbed - s0.absorbed;
-    res.overflows = s1.overflow_to_server - s0.overflow_to_server;
-    res.cache_served_rps =
-        static_cast<double>(s1.served_by_cache - s0.served_by_cache +
-                            s1.wb_returned_replies - s0.wb_returned_replies) /
-        secs;
+    res.absorbed = at_end.absorbed - at_warmup.absorbed;
+    res.overflows = at_end.overflows - at_warmup.overflows;
     res.overflow_ratio =
         res.lookup_hits > 0
             ? static_cast<double>(res.overflows) /
@@ -791,19 +794,13 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
       res.cache_packets_in_flight += static_cast<uint64_t>(
           std::max<int64_t>(0, topo.leaf(r).stats().recirc_in_flight));
     }
-    res.cp_drop_evicted = s1.cp_drop_evicted;
-    res.cp_drop_invalid = s1.cp_drop_invalid;
-    res.cp_drop_epoch = s1.cp_drop_epoch;
-    res.validations = s1.validations;
+    res.cp_drop_evicted = at_end.cp_drop_evicted;
+    res.cp_drop_invalid = at_end.cp_drop_invalid;
+    res.cp_drop_epoch = at_end.cp_drop_epoch;
+    res.validations = at_end.validations;
     res.controller_cache_size = fab_ctrl->TotalCacheSize();
   }
-  if (!netps.empty()) {
-    res.lookup_hits = at_end.net.read_hits - at_warmup.net.read_hits;
-    res.cache_served_rps = static_cast<double>(at_end.net.served_by_cache -
-                                               at_warmup.net.served_by_cache) /
-                           secs;
-    for (const nc::NetProgram* p : netps) res.cache_entries += p->num_entries();
-  }
+  for (const nc::NetProgram* p : netps) res.cache_entries += p->num_entries();
   res.recirc_drops = at_end.recirc_drops - at_warmup.recirc_drops;
   // All leaves run the identical program: one leaf's RMT ledger is the
   // per-switch usage story (a fabric does not pool SRAM across switches).
@@ -854,14 +851,13 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
     for (int r = 0; r < racks; ++r)
       eor.recirc_in_flight +=
           static_cast<int64_t>(topo.leaf(r).stats().recirc_in_flight);
-    // The orbit census (one circulating packet per valid entry) is exact
-    // only when nothing forked, dropped, or invalidated cache packets
-    // outside the serve loop; otherwise record why it was skipped.
+    // The orbit census (one circulating packet per valid entry not
+    // awaiting a no-cloning refetch) is exact only when nothing forked,
+    // dropped, or invalidated cache packets outside the serve loop;
+    // otherwise record why it was skipped.
     std::string census_skip;
     if (orbits.empty()) {
       census_skip = "scheme has no orbiting cache packets";
-    } else if (!config.cache.enable_cloning) {
-      census_skip = "no-cloning ablation refetches instead of orbiting";
     } else if (config.cache.multi_packet) {
       census_skip = "multi-packet entries orbit fragment sets";
     } else if (config.cache.write_back) {
@@ -873,8 +869,8 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
       census_skip = "writes invalidate entries while packets still orbit";
     } else if (at_end.recirc_drops > 0) {
       census_skip = "recirculation ring dropped cache packets";
-    } else if (at_end.orbit.cp_drop_evicted + at_end.orbit.cp_drop_invalid +
-                   at_end.orbit.cp_drop_epoch >
+    } else if (at_end.cp_drop_evicted + at_end.cp_drop_invalid +
+                   at_end.cp_drop_epoch >
                0) {
       census_skip = "cache packets were retired mid-run";
     }

@@ -261,6 +261,84 @@ TEST(Controller, NoCloningServesAgainOnceTheRefetchReturns) {
   EXPECT_EQ(rig.program().stats().served_by_cache, 2u);
 }
 
+TEST(Controller, NoCloningKeptFetchReplyEndsItsFetch) {
+  // Without cloning the data plane keeps each F-REP as the cache packet,
+  // so the controller never sees it; the program's fetch-completion
+  // notice must end the pending fetch, or every update tick would retry
+  // it and mint another packet.
+  RigConfig cfg = ControllerRig();
+  cfg.orbit.enable_cloning = false;
+  Rig rig(cfg);
+  rig.controller().Preload({K(1), K(2)});
+  rig.controller().Start();
+  rig.Settle();
+  rig.Run(4 * cfg.controller.update_period);
+
+  const auto& cs = rig.controller().stats();
+  EXPECT_EQ(cs.fetch_retries, 0u);
+  EXPECT_EQ(cs.fetch_failures, 0u);
+  EXPECT_EQ(cs.evictions, 0u);
+  EXPECT_EQ(rig.sw().stats().recirc_in_flight, 2) << "one packet per key";
+  rig.SendRead(K(2), 1);
+  rig.Settle();
+  ASSERT_NE(rig.FindReply(1), nullptr);
+  EXPECT_EQ(rig.FindReply(1)->msg.cached, 1);
+}
+
+TEST(Controller, NoCloningRetriedFetchKeepsOnePacket) {
+  // After a switch reset the rebuild's fetch outlives fetch_timeout at a
+  // slow server and is retried. The first reply becomes the cache packet;
+  // the retry's reply finds that packet orbiting and is only an ack.
+  RigConfig cfg = ControllerRig();
+  cfg.orbit.enable_cloning = false;
+  cfg.server_rate_rps = 10'000;  // 100 us per request
+  cfg.controller.fetch_timeout = 50 * kMicrosecond;
+  Rig rig(cfg);
+  const Key a = K(1);
+  rig.controller().Preload({a});
+  rig.Settle();
+  ASSERT_EQ(rig.sw().stats().recirc_in_flight, 1);
+
+  rig.sw().ResetDataPlane();
+  rig.controller().RebuildCache();
+  rig.Settle();
+  rig.Settle();
+
+  const auto& cs = rig.controller().stats();
+  EXPECT_EQ(cs.fetch_retries, 1u);
+  EXPECT_EQ(cs.fetch_failures, 0u);
+  EXPECT_EQ(cs.evictions, 0u);
+  EXPECT_EQ(rig.sw().stats().recirc_in_flight, 1) << "one packet per key";
+  rig.SendRead(a, 1);
+  rig.Settle();
+  ASSERT_NE(rig.FindReply(1), nullptr);
+  EXPECT_EQ(rig.FindReply(1)->msg.cached, 1);
+}
+
+TEST(Controller, NoCloningWriteReplyRefetchesTheValue) {
+  // A write takes the entry's packet out of orbit and its reply leaves
+  // for the client; the entry refetches the new value to serve again.
+  RigConfig cfg = ControllerRig();
+  cfg.orbit.enable_cloning = false;
+  Rig rig(cfg);
+  const Key a = K(1);
+  rig.controller().Preload({a});
+  rig.Settle();
+
+  rig.SendWrite(a, 1, 128);
+  rig.Settle();
+  ASSERT_NE(rig.FindReply(1), nullptr);
+  EXPECT_EQ(rig.FindReply(1)->msg.op, proto::Op::kWriteRep);
+  EXPECT_EQ(rig.program().stats().refetches, 1u);
+
+  rig.SendRead(a, 2);
+  rig.Settle();
+  ASSERT_NE(rig.FindReply(2), nullptr) << "no cache packet answered";
+  EXPECT_EQ(rig.FindReply(2)->msg.cached, 1);
+  EXPECT_EQ(rig.FindReply(2)->msg.value.size(), 128u);
+  EXPECT_EQ(rig.sw().stats().recirc_in_flight, 1);
+}
+
 TEST(Controller, RefusesOversizedConfiguration) {
   RigConfig cfg = ControllerRig();
   cfg.controller.max_cache_size = 999;  // > data-plane capacity of 32

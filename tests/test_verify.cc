@@ -237,6 +237,21 @@ TEST(VerifyTestbed, NoCacheCleanRun) {
   EXPECT_GT(res.verify_replies_checked, 0u);
 }
 
+TEST(VerifyTestbed, NoCloningRunPassesTheOrbitCensus) {
+  // Without cloning a served entry awaits its refetch with no packet in
+  // orbit; the census counts only entries whose packet orbits. Offered
+  // load stays below the servers' 160K RPS so that no refetch outlives
+  // fetch_timeout (a retry skips the census).
+  testbed::TestbedConfig cfg = SmallConfig(testbed::Scheme::kOrbitCache);
+  cfg.cache.enable_cloning = false;
+  cfg.topo.client_rate_rps = 100'000;
+  testbed::TestbedResult res = testbed::RunTestbed(cfg);
+  EXPECT_EQ(res.verify_violations, 0u) << res.verify_report;
+  EXPECT_NE(res.verify_report.find("orbit census checked"), std::string::npos)
+      << res.verify_report;
+  EXPECT_GT(res.cache_served_rps, 0.0);
+}
+
 TEST(VerifyTestbed, CleanUnderWritesAndRetries) {
   testbed::TestbedConfig cfg = SmallConfig(testbed::Scheme::kOrbitCache);
   cfg.workload.write_ratio = 0.2;
