@@ -92,7 +92,6 @@ testbed::TestbedConfig RandomConfig(Rng& rng) {
       case 4:
         cfg.control.run_cache_updates = true;
         cfg.control.update_period = 20 * kMillisecond;
-        cfg.control.report_period = 20 * kMillisecond;
         break;
       default: break;  // paper-default protocol
     }

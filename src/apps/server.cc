@@ -252,7 +252,6 @@ void ServerNode::SendReport() {
     // The per-key count rides in the value's version field (metadata only,
     // no payload bytes on the wire beyond the key).
     pkt->msg.value = kv::Value::Synthetic(0, entry.count);
-    pkt->tcp = true;  // reports use TCP in the paper (§3.9)
     net_->Send(this, port_, std::move(pkt));
   }
   top_k_->Reset();

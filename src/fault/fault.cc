@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <set>
 #include <string>
@@ -16,26 +17,68 @@
 
 namespace orbit::fault {
 
-const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kServerCrash: return "server_crash";
-    case FaultKind::kServerRestart: return "server_restart";
-    case FaultKind::kSwitchReset: return "switch_reset";
-    case FaultKind::kCtrlDown: return "ctrl_down";
-    case FaultKind::kCtrlUp: return "ctrl_up";
-    case FaultKind::kFabricLinkDown: return "fabric_link_down";
-    case FaultKind::kFabricLinkUp: return "fabric_link_up";
-    case FaultKind::kLeafCrash: return "leaf_crash";
-    case FaultKind::kLeafRestart: return "leaf_restart";
-    case FaultKind::kSpineCrash: return "spine_crash";
-    case FaultKind::kSpineRestart: return "spine_restart";
-    case FaultKind::kLinkDegrade: return "link_degrade";
-    case FaultKind::kLinkRestore: return "link_restore";
-    case FaultKind::kRackPartition: return "rack_partition";
-    case FaultKind::kRackHeal: return "rack_heal";
-  }
-  return "?";
+namespace {
+
+// What an event acts on. A kind with no target is instantaneous and has no
+// pair.
+enum class Target {
+  kNone, kServer, kCtrl, kUplink, kLeaf, kSpine, kGray, kRack
+};
+
+using Stats = FaultInjector::Stats;
+
+// The one description of each fault kind, in FaultKind order.
+struct KindRow {
+  const char* name;
+  Target target;
+  bool opens;      // opens a fault (else closes one)
+  FaultKind pair;  // the kind on the other side of the pair
+  uint64_t Stats::*counter;
+};
+constexpr KindRow kKinds[] = {
+    {"server_crash", Target::kServer, true, FaultKind::kServerRestart,
+     &Stats::server_crashes},
+    {"server_restart", Target::kServer, false, FaultKind::kServerCrash,
+     &Stats::server_restarts},
+    {"switch_reset", Target::kNone, true, FaultKind::kSwitchReset,
+     &Stats::switch_resets},
+    {"ctrl_down", Target::kCtrl, true, FaultKind::kCtrlUp,
+     &Stats::ctrl_transitions},
+    {"ctrl_up", Target::kCtrl, false, FaultKind::kCtrlDown,
+     &Stats::ctrl_transitions},
+    {"fabric_link_down", Target::kUplink, true, FaultKind::kFabricLinkUp,
+     &Stats::fabric_link_transitions},
+    {"fabric_link_up", Target::kUplink, false, FaultKind::kFabricLinkDown,
+     &Stats::fabric_link_transitions},
+    {"leaf_crash", Target::kLeaf, true, FaultKind::kLeafRestart,
+     &Stats::leaf_crashes},
+    {"leaf_restart", Target::kLeaf, false, FaultKind::kLeafCrash,
+     &Stats::leaf_restarts},
+    {"spine_crash", Target::kSpine, true, FaultKind::kSpineRestart,
+     &Stats::spine_transitions},
+    {"spine_restart", Target::kSpine, false, FaultKind::kSpineCrash,
+     &Stats::spine_transitions},
+    {"link_degrade", Target::kGray, true, FaultKind::kLinkRestore,
+     &Stats::link_degrades},
+    {"link_restore", Target::kGray, false, FaultKind::kLinkDegrade,
+     &Stats::link_degrades},
+    {"rack_partition", Target::kRack, true, FaultKind::kRackHeal,
+     &Stats::partitions},
+    {"rack_heal", Target::kRack, false, FaultKind::kRackPartition,
+     &Stats::partitions},
+};
+static_assert(std::size(kKinds) ==
+              static_cast<size_t>(FaultKind::kRackHeal) + 1);
+
+const KindRow& Row(FaultKind kind) {
+  return kKinds[static_cast<size_t>(kind)];
 }
+
+}  // namespace
+
+const char* FaultKindName(FaultKind kind) { return Row(kind).name; }
+
+bool OpensFault(FaultKind kind) { return Row(kind).opens; }
 
 FaultSchedule SwitchResetAt(SimTime at, SimTime rebuild_delay) {
   FaultSchedule s;
@@ -129,7 +172,41 @@ std::string Msg(const char* fmt, ...) {
   return buf;
 }
 
-// (down-kind, up-kind) toggle pairs share a target-keyed state machine.
+// The name overlap errors give an event's target.
+std::string TargetName(const FaultEvent& ev) {
+  switch (Row(ev.kind).target) {
+    case Target::kNone: return "";
+    case Target::kServer: return Msg("server %d", ev.server);
+    case Target::kCtrl: return "ctrl channel";
+    case Target::kUplink:
+      return Msg("uplink rack %d spine %d", ev.rack, ev.spine);
+    case Target::kLeaf: return Msg("leaf %d", ev.rack);
+    case Target::kSpine: return Msg("spine %d", ev.spine);
+    case Target::kGray:
+      return Msg("uplink rack %d spine %d dir %d (gray)", ev.rack, ev.spine,
+                 ev.dir);
+    case Target::kRack: return Msg("rack %d partition", ev.rack);
+  }
+  return "";
+}
+
+// The id an event's INT mark and flight note carry.
+uint64_t TargetId(const FaultEvent& ev) {
+  int id = -1;
+  switch (Row(ev.kind).target) {
+    case Target::kNone:
+    case Target::kCtrl: break;
+    case Target::kServer: id = ev.server; break;
+    case Target::kSpine: id = ev.spine; break;
+    case Target::kUplink:
+    case Target::kLeaf:
+    case Target::kGray:
+    case Target::kRack: id = ev.rack; break;
+  }
+  return id >= 0 ? static_cast<uint64_t>(id) : 0;
+}
+
+// The opening event of a pair whose closing event has not come yet.
 struct ToggleState {
   SimTime since = 0;
   FaultKind by = FaultKind::kSwitchReset;
@@ -141,61 +218,45 @@ std::string FaultSchedule::Validate() const {
   // Field-shape checks first, in the order the user wrote the events.
   for (const FaultEvent& ev : events) {
     const char* name = FaultKindName(ev.kind);
-    switch (ev.kind) {
-      case FaultKind::kServerCrash:
-      case FaultKind::kServerRestart:
+    const long long at = static_cast<long long>(ev.at);
+    switch (Row(ev.kind).target) {
+      case Target::kNone:
+      case Target::kCtrl:
+        break;
+      case Target::kServer:
         if (ev.server < 0)
-          return Msg("%s at %lldns needs server >= 0", name,
-                     static_cast<long long>(ev.at));
+          return Msg("%s at %lldns needs server >= 0", name, at);
         break;
-      case FaultKind::kSwitchReset:
-      case FaultKind::kCtrlDown:
-      case FaultKind::kCtrlUp:
-        break;
-      case FaultKind::kFabricLinkDown:
-      case FaultKind::kFabricLinkUp:
+      case Target::kUplink:
         if (ev.rack < 0 || ev.spine < 0)
-          return Msg("%s at %lldns needs rack >= 0 and spine >= 0", name,
-                     static_cast<long long>(ev.at));
+          return Msg("%s at %lldns needs rack >= 0 and spine >= 0", name, at);
         break;
-      case FaultKind::kLeafCrash:
-      case FaultKind::kLeafRestart:
-      case FaultKind::kRackPartition:
-      case FaultKind::kRackHeal:
-        if (ev.rack < 0)
-          return Msg("%s at %lldns needs rack >= 0", name,
-                     static_cast<long long>(ev.at));
+      case Target::kLeaf:
+      case Target::kRack:
+        if (ev.rack < 0) return Msg("%s at %lldns needs rack >= 0", name, at);
         break;
-      case FaultKind::kSpineCrash:
-      case FaultKind::kSpineRestart:
+      case Target::kSpine:
         if (ev.spine < 0)
-          return Msg("%s at %lldns needs spine >= 0", name,
-                     static_cast<long long>(ev.at));
+          return Msg("%s at %lldns needs spine >= 0", name, at);
         break;
-      case FaultKind::kLinkDegrade:
+      case Target::kGray:
         if (ev.rack < 0 || ev.spine < 0 || (ev.dir != 0 && ev.dir != 1))
           return Msg(
               "%s at %lldns needs rack, spine and dir (0 = leaf->spine, "
               "1 = spine->leaf)",
-              name, static_cast<long long>(ev.at));
+              name, at);
+        if (!OpensFault(ev.kind)) break;
         if (ev.degrade_loss < 0 || ev.degrade_loss > 1 ||
             ev.degrade_latency < 0)
           return Msg(
               "%s at %lldns: degrade_loss must be in [0,1] and "
               "degrade_latency >= 0",
-              name, static_cast<long long>(ev.at));
+              name, at);
         if (ev.degrade_loss == 0 && ev.degrade_latency == 0)
           return Msg(
               "%s at %lldns degrades nothing: set degrade_loss and/or "
               "degrade_latency",
-              name, static_cast<long long>(ev.at));
-        break;
-      case FaultKind::kLinkRestore:
-        if (ev.rack < 0 || ev.spine < 0 || (ev.dir != 0 && ev.dir != 1))
-          return Msg(
-              "%s at %lldns needs rack, spine and dir (0 = leaf->spine, "
-              "1 = spine->leaf)",
-              name, static_cast<long long>(ev.at));
+              name, at);
         break;
     }
   }
@@ -214,113 +275,105 @@ std::string FaultSchedule::Validate() const {
   std::map<int, int> rack_links_down;       // rack -> # of individually-down uplinks
   std::set<int> partitioned;
 
-  auto go_down = [&](const std::string& target, const FaultEvent& ev,
-                     const char* up_name) -> std::string {
-    auto [it, fresh] = down.try_emplace(target, ToggleState{ev.at, ev.kind});
-    if (!fresh)
-      return Msg("%s: %s at %lldns overlaps the %s at %lldns (missing %s in "
-                 "between?)",
-                 target.c_str(), FaultKindName(ev.kind),
-                 static_cast<long long>(ev.at), FaultKindName(it->second.by),
-                 static_cast<long long>(it->second.since), up_name);
-    return "";
-  };
-  auto go_up = [&](const std::string& target, const FaultEvent& ev,
-                   const char* down_name) -> std::string {
-    auto it = down.find(target);
-    if (it == down.end())
-      return Msg("%s: %s at %lldns has no preceding %s to undo", target.c_str(),
-                 FaultKindName(ev.kind), static_cast<long long>(ev.at),
-                 down_name);
-    if (it->second.since == ev.at)
-      return Msg("%s: %s and %s both at %lldns (zero-length fault)",
-                 target.c_str(), FaultKindName(it->second.by),
-                 FaultKindName(ev.kind), static_cast<long long>(ev.at));
-    down.erase(it);
-    return "";
-  };
-
   for (const FaultEvent& ev : evs) {
-    std::string err;
-    switch (ev.kind) {
-      case FaultKind::kServerCrash:
-        err = go_down(Msg("server %d", ev.server), ev, "server_restart");
+    const KindRow& row = Row(ev.kind);
+    // A switch reset is instantaneous; the injector arms its rebuild.
+    if (row.target == Target::kNone) continue;
+    // A partition holds every uplink of its rack down, so per-link events
+    // may not interleave with it.
+    if (ev.kind == FaultKind::kFabricLinkDown && partitioned.count(ev.rack))
+      return Msg(
+          "uplink rack %d spine %d: fabric_link_down at %lldns while "
+          "rack %d is partitioned (the partition already holds this link "
+          "down)",
+          ev.rack, ev.spine, static_cast<long long>(ev.at), ev.rack);
+    if (ev.kind == FaultKind::kRackPartition && rack_links_down[ev.rack] > 0)
+      return Msg(
+          "rack %d: rack_partition at %lldns while %d of its uplinks are "
+          "individually down (bring them up first or drop the per-link "
+          "events)",
+          ev.rack, static_cast<long long>(ev.at), rack_links_down[ev.rack]);
+
+    const std::string target = TargetName(ev);
+    const char* pair = FaultKindName(row.pair);
+    if (row.opens) {
+      auto [it, fresh] = down.try_emplace(target, ToggleState{ev.at, ev.kind});
+      if (!fresh)
+        return Msg(
+            "%s: %s at %lldns overlaps the %s at %lldns (missing %s in "
+            "between?)",
+            target.c_str(), row.name, static_cast<long long>(ev.at),
+            FaultKindName(it->second.by),
+            static_cast<long long>(it->second.since), pair);
+    } else {
+      auto it = down.find(target);
+      if (it == down.end())
+        return Msg("%s: %s at %lldns has no preceding %s to undo",
+                   target.c_str(), row.name, static_cast<long long>(ev.at),
+                   pair);
+      if (it->second.since == ev.at)
+        return Msg("%s: %s and %s both at %lldns (zero-length fault)",
+                   target.c_str(), FaultKindName(it->second.by), row.name,
+                   static_cast<long long>(ev.at));
+      down.erase(it);
+    }
+
+    if (row.target == Target::kUplink)
+      rack_links_down[ev.rack] += row.opens ? 1 : -1;
+    if (ev.kind == FaultKind::kRackPartition) partitioned.insert(ev.rack);
+    if (ev.kind == FaultKind::kRackHeal) partitioned.erase(ev.rack);
+  }
+  return "";
+}
+
+std::string FaultSchedule::CheckTargets(int servers, int racks,
+                                        int spines) const {
+  for (const FaultEvent& ev : events) {
+    const char* name = FaultKindName(ev.kind);
+    switch (Row(ev.kind).target) {
+      case Target::kNone:
         break;
-      case FaultKind::kServerRestart:
-        err = go_up(Msg("server %d", ev.server), ev, "server_crash");
+      case Target::kServer:
+        if (ev.server >= servers)
+          return Msg("fault event %s targets server %d but only %d servers "
+                     "exist",
+                     name, ev.server, servers);
         break;
-      case FaultKind::kSwitchReset:
-        break;  // instantaneous; the rebuild is scheduled by the injector
-      case FaultKind::kCtrlDown:
-        err = go_down("ctrl channel", ev, "ctrl_up");
+      case Target::kCtrl:
+        if (racks > 0)
+          return "kCtrlDown/kCtrlUp target the single-switch controller "
+                 "channel; on a fabric, crash the leaf (kLeafCrash) instead";
         break;
-      case FaultKind::kCtrlUp:
-        err = go_up("ctrl channel", ev, "ctrl_down");
-        break;
-      case FaultKind::kFabricLinkDown:
-        if (partitioned.count(ev.rack))
-          return Msg(
-              "uplink rack %d spine %d: fabric_link_down at %lldns while "
-              "rack %d is partitioned (the partition already holds this link "
-              "down)",
-              ev.rack, ev.spine, static_cast<long long>(ev.at), ev.rack);
-        err = go_down(Msg("uplink rack %d spine %d", ev.rack, ev.spine), ev,
-                      "fabric_link_up");
-        if (err.empty()) ++rack_links_down[ev.rack];
-        break;
-      case FaultKind::kFabricLinkUp:
-        err = go_up(Msg("uplink rack %d spine %d", ev.rack, ev.spine), ev,
-                    "fabric_link_down");
-        if (err.empty()) --rack_links_down[ev.rack];
-        break;
-      case FaultKind::kLeafCrash:
-        err = go_down(Msg("leaf %d", ev.rack), ev, "leaf_restart");
-        break;
-      case FaultKind::kLeafRestart:
-        err = go_up(Msg("leaf %d", ev.rack), ev, "leaf_crash");
-        break;
-      case FaultKind::kSpineCrash:
-        err = go_down(Msg("spine %d", ev.spine), ev, "spine_restart");
-        break;
-      case FaultKind::kSpineRestart:
-        err = go_up(Msg("spine %d", ev.spine), ev, "spine_crash");
-        break;
-      case FaultKind::kLinkDegrade:
-        err = go_down(Msg("uplink rack %d spine %d dir %d (gray)", ev.rack,
-                          ev.spine, ev.dir),
-                      ev, "link_restore");
-        break;
-      case FaultKind::kLinkRestore:
-        err = go_up(Msg("uplink rack %d spine %d dir %d (gray)", ev.rack,
-                        ev.spine, ev.dir),
-                    ev, "link_degrade");
-        break;
-      case FaultKind::kRackPartition: {
-        auto it = rack_links_down.find(ev.rack);
-        if (it != rack_links_down.end() && it->second > 0)
-          return Msg(
-              "rack %d: rack_partition at %lldns while %d of its uplinks are "
-              "individually down (bring them up first or drop the per-link "
-              "events)",
-              ev.rack, static_cast<long long>(ev.at), it->second);
-        err = go_down(Msg("rack %d partition", ev.rack), ev, "rack_heal");
-        if (err.empty()) partitioned.insert(ev.rack);
-        break;
-      }
-      case FaultKind::kRackHeal:
-        err = go_up(Msg("rack %d partition", ev.rack), ev, "rack_partition");
-        if (err.empty()) partitioned.erase(ev.rack);
+      case Target::kUplink:
+      case Target::kLeaf:
+      case Target::kSpine:
+      case Target::kGray:
+      case Target::kRack:
+        if (racks == 0)
+          return Msg("fault event %s targets the fabric, but topo.fabric is "
+                     "disabled (num_racks == 0)",
+                     name);
+        if (ev.rack >= racks)
+          return Msg("fault event %s targets rack %d but only %d racks exist",
+                     name, ev.rack, racks);
+        if (ev.spine >= spines)
+          return Msg("fault event %s targets spine %d but only %d spines "
+                     "exist",
+                     name, ev.spine, spines);
         break;
     }
-    if (!err.empty()) return err;
   }
   return "";
 }
 
 FaultInjector::FaultInjector(sim::Simulator* sim,
-                             const FaultSchedule& schedule, FaultHooks hooks)
-    : sim_(sim), schedule_(schedule), hooks_(std::move(hooks)) {
-  ORBIT_CHECK(sim != nullptr);
+                             const FaultSchedule& schedule, ApplyFn apply,
+                             RebuildFn rebuild)
+    : sim_(sim),
+      schedule_(schedule),
+      apply_(std::move(apply)),
+      rebuild_(std::move(rebuild)) {
+  ORBIT_CHECK(sim != nullptr && apply_ != nullptr);
 }
 
 void FaultInjector::Arm() {
@@ -332,165 +385,59 @@ void FaultInjector::Arm() {
 }
 
 void FaultInjector::OnTimer(uint64_t arg) {
-  if (arg == kRebuildCacheArg) {
-    ++stats_.cache_rebuilds;
+  if (arg >= kRebuildTag) {
+    const int rack = static_cast<int>(arg - kRebuildTag) - 1;
+    ++(rack < 0 ? stats_.cache_rebuilds : stats_.leaf_rebuilds);
     ++stats_.injected;
-    if (int_ != nullptr) int_->Mark(sim_->now(), "cache_rebuild", 0);
-    hooks_.rebuild_cache();
-  } else if (arg >= kRebuildLeafTag) {
-    const uint64_t rack = arg - kRebuildLeafTag;
-    ++stats_.leaf_rebuilds;
-    ++stats_.injected;
-    if (int_ != nullptr) int_->Mark(sim_->now(), "leaf_rebuild", rack);
-    hooks_.rebuild_leaf(static_cast<int>(rack));
-  } else {
-    Fire(schedule_.events[arg]);
+    if (int_ != nullptr)
+      int_->Mark(sim_->now(), rack < 0 ? "cache_rebuild" : "leaf_rebuild",
+                 rack < 0 ? 0 : static_cast<uint64_t>(rack));
+    rebuild_(rack);
+    return;
   }
-}
-
-void FaultInjector::Note(FaultKind kind, int server) {
+  const FaultEvent& ev = schedule_.events[arg];
+  const KindRow& row = Row(ev.kind);
+  ++(stats_.*row.counter);
   ++stats_.injected;
-  if (int_ != nullptr)
-    int_->Mark(sim_->now(), FaultKindName(kind),
-               server >= 0 ? static_cast<uint64_t>(server) : 0);
+  if (int_ != nullptr) int_->Mark(sim_->now(), row.name, TargetId(ev));
   if (flight_ != nullptr) {
-    flight_->Note(flight_comp_, sim_->now(), FaultKindName(kind),
-                  server >= 0 ? static_cast<uint64_t>(server) : 0);
+    flight_->Note(flight_comp_, sim_->now(), row.name, TargetId(ev));
     // A fault is exactly the moment a post-mortem view of the preceding
     // events is worth keeping.
-    flight_->TriggerDump(sim_->now(),
-                         std::string("fault: ") + FaultKindName(kind));
+    flight_->TriggerDump(sim_->now(), std::string("fault: ") + row.name);
   }
-}
-
-void FaultInjector::Fire(const FaultEvent& ev) {
-  switch (ev.kind) {
-    case FaultKind::kServerCrash:
-      ++stats_.server_crashes;
-      Note(ev.kind, ev.server);
-      if (hooks_.set_server_link_down)
-        hooks_.set_server_link_down(ev.server, true);
-      break;
-    case FaultKind::kServerRestart:
-      ++stats_.server_restarts;
-      Note(ev.kind, ev.server);
-      if (hooks_.set_server_link_down)
-        hooks_.set_server_link_down(ev.server, false);
-      break;
-    case FaultKind::kSwitchReset:
-      ++stats_.switch_resets;
-      Note(ev.kind, -1);
-      if (hooks_.reset_switch) hooks_.reset_switch();
-      // The controller notices the wipe and reinstalls its shadow copy
-      // after the detection + reinstall delay.
-      if (hooks_.rebuild_cache)
-        sim_->AfterTimer(schedule_.switch_rebuild_delay, this,
-                         kRebuildCacheArg);
-      break;
-    case FaultKind::kCtrlDown:
-      ++stats_.ctrl_transitions;
-      Note(ev.kind, -1);
-      if (hooks_.set_ctrl_link_down) hooks_.set_ctrl_link_down(true);
-      break;
-    case FaultKind::kCtrlUp:
-      ++stats_.ctrl_transitions;
-      Note(ev.kind, -1);
-      if (hooks_.set_ctrl_link_down) hooks_.set_ctrl_link_down(false);
-      break;
-    case FaultKind::kFabricLinkDown:
-      ++stats_.fabric_link_transitions;
-      Note(ev.kind, ev.rack);
-      if (hooks_.set_fabric_link_down)
-        hooks_.set_fabric_link_down(ev.rack, ev.spine, true);
-      break;
-    case FaultKind::kFabricLinkUp:
-      ++stats_.fabric_link_transitions;
-      Note(ev.kind, ev.rack);
-      if (hooks_.set_fabric_link_down)
-        hooks_.set_fabric_link_down(ev.rack, ev.spine, false);
-      break;
-    case FaultKind::kLeafCrash:
-      ++stats_.leaf_crashes;
-      Note(ev.kind, ev.rack);
-      if (hooks_.set_leaf_down) hooks_.set_leaf_down(ev.rack, true);
-      break;
-    case FaultKind::kLeafRestart:
-      ++stats_.leaf_restarts;
-      Note(ev.kind, ev.rack);
-      if (hooks_.set_leaf_down) hooks_.set_leaf_down(ev.rack, false);
-      // The fabric controller notices the restart and reinstalls rack r's
-      // cache after the detection + reinstall delay (same model as the
-      // single-switch reset path).
-      if (hooks_.rebuild_leaf)
-        sim_->AfterTimer(schedule_.switch_rebuild_delay, this,
-                         kRebuildLeafTag + static_cast<uint64_t>(ev.rack));
-      break;
-    case FaultKind::kSpineCrash:
-      ++stats_.spine_transitions;
-      Note(ev.kind, ev.spine);
-      if (hooks_.set_spine_down) hooks_.set_spine_down(ev.spine, true);
-      break;
-    case FaultKind::kSpineRestart:
-      ++stats_.spine_transitions;
-      Note(ev.kind, ev.spine);
-      if (hooks_.set_spine_down) hooks_.set_spine_down(ev.spine, false);
-      break;
-    case FaultKind::kLinkDegrade:
-      ++stats_.link_degrades;
-      Note(ev.kind, ev.rack);
-      if (hooks_.set_fabric_link_degrade)
-        hooks_.set_fabric_link_degrade(ev.rack, ev.spine, ev.dir,
-                                       ev.degrade_loss, ev.degrade_latency);
-      break;
-    case FaultKind::kLinkRestore:
-      ++stats_.link_degrades;
-      Note(ev.kind, ev.rack);
-      if (hooks_.set_fabric_link_degrade)
-        hooks_.set_fabric_link_degrade(ev.rack, ev.spine, ev.dir, 0.0, 0);
-      break;
-    case FaultKind::kRackPartition:
-      ++stats_.partitions;
-      Note(ev.kind, ev.rack);
-      if (hooks_.set_rack_partition) hooks_.set_rack_partition(ev.rack, true);
-      break;
-    case FaultKind::kRackHeal:
-      ++stats_.partitions;
-      Note(ev.kind, ev.rack);
-      if (hooks_.set_rack_partition) hooks_.set_rack_partition(ev.rack, false);
-      break;
-  }
+  apply_(ev);
+  // The controller notices the wipe (or the restarted leaf) and reinstalls
+  // its shadow copy after the detection + reinstall delay.
+  if (rebuild_ == nullptr) return;
+  if (ev.kind == FaultKind::kSwitchReset)
+    sim_->AfterTimer(schedule_.switch_rebuild_delay, this, kRebuildTag);
+  else if (ev.kind == FaultKind::kLeafRestart)
+    sim_->AfterTimer(schedule_.switch_rebuild_delay, this,
+                     kRebuildTag + static_cast<uint64_t>(ev.rack) + 1);
 }
 
 void FaultInjector::RegisterTelemetry(telemetry::Registry* registry,
                                       telemetry::IntSink* sink) {
-  const std::string who = "FaultInjector::RegisterTelemetry";
+  static constexpr std::pair<const char*, uint64_t Stats::*> kCounters[] = {
+      {"fault.injected", &Stats::injected},
+      {"fault.server_crashes", &Stats::server_crashes},
+      {"fault.server_restarts", &Stats::server_restarts},
+      {"fault.switch_resets", &Stats::switch_resets},
+      {"fault.cache_rebuilds", &Stats::cache_rebuilds},
+      {"fault.ctrl_transitions", &Stats::ctrl_transitions},
+      {"fault.fabric_link_transitions", &Stats::fabric_link_transitions},
+      {"fault.leaf_crashes", &Stats::leaf_crashes},
+      {"fault.leaf_restarts", &Stats::leaf_restarts},
+      {"fault.leaf_rebuilds", &Stats::leaf_rebuilds},
+      {"fault.spine_transitions", &Stats::spine_transitions},
+      {"fault.link_degrades", &Stats::link_degrades},
+      {"fault.partitions", &Stats::partitions},
+  };
   if (registry != nullptr) {
-    registry->AddCounter("fault.injected", [this] { return stats_.injected; }, who);
-    registry->AddCounter("fault.server_crashes",
-                         [this] { return stats_.server_crashes; }, who);
-    registry->AddCounter("fault.server_restarts",
-                         [this] { return stats_.server_restarts; }, who);
-    registry->AddCounter("fault.switch_resets",
-                         [this] { return stats_.switch_resets; }, who);
-    registry->AddCounter("fault.cache_rebuilds",
-                         [this] { return stats_.cache_rebuilds; }, who);
-    registry->AddCounter("fault.ctrl_transitions",
-                         [this] { return stats_.ctrl_transitions; }, who);
-    registry->AddCounter("fault.fabric_link_transitions",
-                         [this] { return stats_.fabric_link_transitions; },
-                         who);
-    registry->AddCounter("fault.leaf_crashes",
-                         [this] { return stats_.leaf_crashes; }, who);
-    registry->AddCounter("fault.leaf_restarts",
-                         [this] { return stats_.leaf_restarts; }, who);
-    registry->AddCounter("fault.leaf_rebuilds",
-                         [this] { return stats_.leaf_rebuilds; }, who);
-    registry->AddCounter("fault.spine_transitions",
-                         [this] { return stats_.spine_transitions; }, who);
-    registry->AddCounter("fault.link_degrades",
-                         [this] { return stats_.link_degrades; }, who);
-    registry->AddCounter("fault.partitions",
-                         [this] { return stats_.partitions; }, who);
+    for (const auto& [name, field] : kCounters)
+      registry->AddCounter(name, [this, field] { return stats_.*field; },
+                           "FaultInjector::RegisterTelemetry");
   }
   int_ = sink;
 }

@@ -2,38 +2,17 @@
 //
 // A `FaultSchedule` is part of the experiment configuration: a list of
 // (time, kind) events — server crash/restart, switch reset, controller
-// channel loss — plus an optional Gilbert–Elliott burst-loss model layered
-// onto every server link. The schedule is pure data (it serializes into
-// the config fingerprint); `FaultInjector` binds it to a live testbed via
-// a small hook table and arms one simulator timer per fault, so two runs
-// of the same seeded config inject byte-identical faults.
+// channel loss, and the fabric faults beside them — plus optional
+// Gilbert–Elliott burst loss on every server link and uplink. The schedule
+// is pure data (it serializes into the config fingerprint);
+// `FaultInjector` arms one simulator timer per event and hands each event
+// to the testbed's `apply`, so two runs of the same seeded config inject
+// byte-identical faults.
 //
-// Fault taxonomy (docs/FAULTS.md has the full story):
-//   kServerCrash / kServerRestart — the server's access link goes down/up;
-//       in-flight packets in either direction are discarded (the server's
-//       own queue and store survive, modeling a fast process restart).
-//   kSwitchReset — the switch data plane is wiped (register arrays, match
-//       tables, circulating cache packets); after `switch_rebuild_delay`
-//       the controller rebuilds the cache from its shadow copy.
-//   kCtrlDown / kCtrlUp — the switch-CPU channel drops all controller
-//       traffic (fetches, reports, installs) until restored.
-//
-// Fabric fault taxonomy (leaf–spine topologies, PR 10):
-//   kFabricLinkDown / kFabricLinkUp — the (rack, spine) uplink goes
-//       down/up in both directions; packets offered meanwhile are
-//       discarded (DropReason::kLinkDown).
-//   kLeafCrash / kLeafRestart — rack r's leaf data plane is wiped and the
-//       leaf degrades to transparent pass-through (NoCache forwarding);
-//       on restart the fabric controller rebuilds the leaf's cache after
-//       `switch_rebuild_delay`.
-//   kSpineCrash / kSpineRestart — all of spine s's down-links go down/up
-//       at once (the spine itself holds no cache state).
-//   kLinkDegrade / kLinkRestore — asymmetric "gray" uplink: one direction
-//       (dir 0 = leaf->spine, 1 = spine->leaf) of the (rack, spine) link
-//       loses packets with `degrade_loss` and delays survivors by
-//       `degrade_latency`; the other direction is untouched.
-//   kRackPartition / kRackHeal — every uplink of rack r goes down/up at
-//       once: the rack can only reach itself until healed.
+// One table in fault.cc describes every kind: its name, its target, whether
+// it opens a fault or closes one, the kind on the other side of that pair,
+// and the injector counter it bumps. docs/FAULTS.md describes what each
+// kind does to the testbed.
 #pragma once
 
 #include <cstdint>
@@ -56,25 +35,30 @@ class Registry;
 
 namespace orbit::fault {
 
+// Each pair's first kind opens a fault and its second closes it
+// (docs/FAULTS.md has what each one does to the testbed).
 enum class FaultKind {
-  kServerCrash,
+  kServerCrash,  // the server's access link goes down / up
   kServerRestart,
-  kSwitchReset,
-  kCtrlDown,
+  kSwitchReset,  // every leaf's data plane is wiped, then rebuilt
+  kCtrlDown,     // the switch-CPU channel drops controller traffic / heals
   kCtrlUp,
   // Fabric faults (leaf–spine topologies only).
-  kFabricLinkDown,
+  kFabricLinkDown,  // the (rack, spine) uplink goes down / up
   kFabricLinkUp,
-  kLeafCrash,
-  kLeafRestart,
-  kSpineCrash,
+  kLeafCrash,    // rack r's leaf is wiped and forwards by route /
+  kLeafRestart,  // runs its program again, and its cache is rebuilt
+  kSpineCrash,   // every uplink of spine s goes down / up
   kSpineRestart,
-  kLinkDegrade,
+  kLinkDegrade,  // one direction of an uplink loses and delays / heals
   kLinkRestore,
-  kRackPartition,
+  kRackPartition,  // every uplink of rack r goes down / up
   kRackHeal,
 };
 const char* FaultKindName(FaultKind kind);
+// True for the first kind of a pair (a crash, down, degrade or partition)
+// and for a switch reset; false for the kind that closes a pair.
+bool OpensFault(FaultKind kind);
 
 struct FaultEvent {
   SimTime at = 0;                           // absolute sim time
@@ -114,9 +98,12 @@ struct FaultSchedule {
   // overlap or contradict (a crash during an existing crash, a restart
   // with nothing to restart, two events on one target at the same
   // instant). Returns "" when valid, else one actionable error message.
-  // Target ranges (racks/spines/servers) are checked by the testbed,
-  // which knows the topology.
   std::string Validate() const;
+  // The target ranges, which only the testbed knows: every server, rack and
+  // spine an event names exists, fabric targets need a fabric (`racks` 0
+  // is the single switch), and the controller channel needs the single
+  // switch. Returns "" when every target exists, else one error message.
+  std::string CheckTargets(int servers, int racks, int spines) const;
 };
 
 // Convenience builders for the common single-fault timelines.
@@ -133,37 +120,15 @@ FaultSchedule LinkDegradeAt(int rack, int spine, int dir, double loss,
                             SimTime restore_at);
 FaultSchedule RackPartitionAt(int rack, SimTime at, SimTime heal_at);
 
-// How the injector acts on the testbed. Hooks left empty make the
-// corresponding fault kind a no-op (e.g. reset_switch on a scheme with no
-// switch-resident state).
-struct FaultHooks {
-  std::function<void(int server, bool down)> set_server_link_down;
-  std::function<void(bool down)> set_ctrl_link_down;
-  std::function<void()> reset_switch;
-  std::function<void()> rebuild_cache;
-  // Fabric hooks (TestbedConfig::Validate() rejects fabric events on
-  // single-switch testbeds).
-  std::function<void(int rack, int spine, bool down)> set_fabric_link_down;
-  std::function<void(int rack, int spine, int dir, double loss,
-                     SimTime extra_latency)>
-      set_fabric_link_degrade;
-  std::function<void(int rack, bool down)> set_leaf_down;
-  std::function<void(int spine, bool down)> set_spine_down;
-  std::function<void(int rack, bool partitioned)> set_rack_partition;
-  // Fired `switch_rebuild_delay` after a kLeafRestart: the fabric
-  // controller reinstalls rack r's cache from its shadow copy.
-  std::function<void(int rack)> rebuild_leaf;
-};
-
 // Binds a schedule to a live simulation: Arm() turns every FaultEvent into
-// a simulator timer that fires the matching hook (a switch reset or a leaf
-// restart also arms the rebuild `switch_rebuild_delay` later). Keeps
-// per-kind injection counts and optionally emits telemetry counters
-// ("fault.*") and run-level marks in the hop-event stream.
+// a simulator timer. When it fires, the injector bumps the kind's counter,
+// marks the hop-event stream, notes the flight recorder and hands the
+// event to `apply`. A switch reset arms `rebuild(-1)` and a leaf restart
+// `rebuild(rack)`, `switch_rebuild_delay` later, when a `rebuild` is given.
 class FaultInjector : public sim::TimerHandler {
  public:
   struct Stats {
-    uint64_t injected = 0;  // total hook firings (rebuild counts as one)
+    uint64_t injected = 0;  // events plus rebuilds
     uint64_t server_crashes = 0;
     uint64_t server_restarts = 0;
     uint64_t switch_resets = 0;
@@ -177,17 +142,22 @@ class FaultInjector : public sim::TimerHandler {
     uint64_t link_degrades = 0;      // degrade + restore
     uint64_t partitions = 0;         // partition + heal
   };
+  // Acts one event out on the testbed.
+  using ApplyFn = std::function<void(const FaultEvent&)>;
+  // Reinstalls rack r's cache from the controller's shadow copy; -1 means
+  // every rack (after a switch reset).
+  using RebuildFn = std::function<void(int rack)>;
 
   FaultInjector(sim::Simulator* sim, const FaultSchedule& schedule,
-                FaultHooks hooks);
+                ApplyFn apply, RebuildFn rebuild = nullptr);
   // Armed timers hold the injector's address.
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
   // Schedules every event; call once, before the run starts.
   void Arm();
-  // Timer demux: a schedule index fires that event; the rebuild arguments
-  // below fire the delayed cache or leaf rebuild.
+  // Timer demux: a schedule index injects that event; kRebuildTag + rack + 1
+  // fires the delayed rebuild of that rack (rack -1: every rack).
   void OnTimer(uint64_t arg) override;
 
   const Stats& stats() const { return stats_; }
@@ -203,17 +173,13 @@ class FaultInjector : public sim::TimerHandler {
   void SetFlightRecorder(telemetry::FlightRecorder* recorder);
 
  private:
-  // Rebuild timers tag the high word; a leaf rebuild carries its rack in
-  // the low word. Schedule indices stay below both tags.
-  static constexpr uint64_t kRebuildCacheArg = uint64_t{1} << 32;
-  static constexpr uint64_t kRebuildLeafTag = uint64_t{2} << 32;
-
-  void Fire(const FaultEvent& ev);
-  void Note(FaultKind kind, int server);
+  // Schedule indices stay below the tag.
+  static constexpr uint64_t kRebuildTag = uint64_t{1} << 32;
 
   sim::Simulator* sim_;
   FaultSchedule schedule_;
-  FaultHooks hooks_;
+  ApplyFn apply_;
+  RebuildFn rebuild_;
   Stats stats_;
   telemetry::IntSink* int_ = nullptr;
   telemetry::FlightRecorder* flight_ = nullptr;

@@ -76,8 +76,10 @@ NetProgram::NetProgram(rmt::SwitchDevice* device, const NetConfig& config)
 bool NetProgram::InsertEntry(const Key& key, uint32_t idx) {
   ORBIT_CHECK_MSG(idx < config_.capacity, "cache index out of range");
   if (!lookup_.Insert(key, idx)) return false;  // throws if key > 16B
+  // Advancing the epoch (never restarting it) keeps a reply stamped for an
+  // earlier binding of this index, or from before a reset, from matching.
   valid_.at(idx) = 0;
-  wepoch_.at(idx) = 0;
+  wepoch_.at(idx)++;
   vlen_.at(idx) = 0;
   popularity_.at(idx) = 0;
   return true;
@@ -116,7 +118,7 @@ std::vector<Key> NetProgram::DrainSelfEvictions() {
 void NetProgram::ResetDataPlane() {
   lookup_.Clear();
   valid_.Fill(0);
-  wepoch_.Fill(0);
+  // Write epochs survive the reset (see InsertEntry).
   vlen_.Fill(0);
   popularity_.Fill(0);
   for (auto& words : value_words_) words->Fill(0);

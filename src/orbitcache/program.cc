@@ -120,7 +120,8 @@ void OrbitProgram::ResetDataPlane() {
   if (verifier_ != nullptr) verifier_->OnSwitchReset();
   lookup_.Clear();
   valid_.Fill(kInvalid);
-  epoch_.Fill(0);
+  // Epochs survive the reset: a reply stamped before it must never match
+  // an epoch a post-reset write is given.
   popularity_.Fill(0);
   hit_counter_.get() = 0;
   overflow_counter_.get() = 0;

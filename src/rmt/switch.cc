@@ -21,7 +21,6 @@ constexpr uint32_t kRecircQueueBytes = 2 * 1024 * 1024;
 const char* ActionName(IngressResult::Action action) {
   using Action = IngressResult::Action;
   switch (action) {
-    case Action::kForwardPort: return "forward_port";
     case Action::kForwardAddr: return "forward_addr";
     case Action::kDrop: return "drop";
     case Action::kMulticast: return "multicast";
@@ -136,7 +135,6 @@ int SwitchDevice::RouteOf(Addr addr) const {
 void SwitchDevice::OnPacket(sim::PacketPtr pkt, int port) {
   ++stats_.rx_packets;
 
-  pkt->ingress_port = port;
   if (pkt->msg.op == proto::Op::kProbe) {
     // Turn the probe around on its ingress port: a completed round trip
     // proves both directions of the link alive (a gray link that eats
@@ -217,9 +215,6 @@ void SwitchDevice::Apply(const IngressResult& result, sim::PacketPtr pkt,
       // First-wins: a program that absorbed the packet (request table)
       // already marked it; only an unexplained Drop lands here.
       sim::MarkEnd(*pkt, sim::PacketEnd::kDroppedByProgram);
-      return;
-    case Action::kForwardPort:
-      SendOut(result.port, std::move(pkt), pipe_delay);
       return;
     case Action::kForwardAddr: {
       const int port = RouteOf(result.addr);

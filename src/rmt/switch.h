@@ -38,7 +38,6 @@ namespace orbit::rmt {
 
 struct IngressResult {
   enum class Action {
-    kForwardPort,  // unicast to an explicit front port
     kForwardAddr,  // unicast via the L3 route table
     kDrop,
     kMulticast,    // hand to the PRE with a group id
@@ -46,22 +45,18 @@ struct IngressResult {
   };
 
   Action action = Action::kDrop;
-  int port = -1;
   Addr addr = kInvalidAddr;
   int mcast_group = 0;
 
-  static IngressResult ToPort(int p) {
-    return {Action::kForwardPort, p, kInvalidAddr, 0};
-  }
   static IngressResult ToAddr(Addr a) {
-    return {Action::kForwardAddr, -1, a, 0};
+    return {Action::kForwardAddr, a, 0};
   }
   static IngressResult Drop() { return {}; }
   static IngressResult Multicast(int group) {
-    return {Action::kMulticast, -1, kInvalidAddr, group};
+    return {Action::kMulticast, kInvalidAddr, group};
   }
   static IngressResult Recirculate() {
-    return {Action::kRecirculate, -1, kInvalidAddr, 0};
+    return {Action::kRecirculate, kInvalidAddr, 0};
   }
 };
 

@@ -133,7 +133,6 @@ void Link::Send(int from, PacketPtr pkt, SimTime extra_delay) {
 
   // The packet lands at the far end after propagation (plus any injected
   // gray-link latency for this direction).
-  pkt->ingress_port = ch.to_port;
   pkt->from_recirc = false;
   sim_->Deliver(done + config_.propagation + ch.degrade_latency, ch.to,
                 ch.to_port, std::move(pkt));

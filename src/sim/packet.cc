@@ -11,7 +11,6 @@ void Packet::Reset() {
   dst = kInvalidAddr;
   sport = 0;
   dport = 0;
-  tcp = false;
   msg.op = proto::Op::kReadReq;
   msg.seq = 0;
   msg.hkey = Hash128{};
@@ -25,7 +24,6 @@ void Packet::Reset() {
   msg.key.clear();          // keeps capacity for the next key assignment
   msg.value = kv::Value();  // drops any shared payload reference
   sent_at = 0;
-  ingress_port = -1;
   from_recirc = false;
   recirc_count = 0;
   recirc_generation = 0;
@@ -38,10 +36,8 @@ void Packet::CopyFrom(const Packet& other) {
   dst = other.dst;
   sport = other.sport;
   dport = other.dport;
-  tcp = other.tcp;
   msg = other.msg;  // key copy-assign reuses capacity; value shares bytes
   sent_at = other.sent_at;
-  ingress_port = other.ingress_port;
   from_recirc = other.from_recirc;
   recirc_count = other.recirc_count;
   recirc_generation = other.recirc_generation;

@@ -53,7 +53,6 @@ struct Packet {
   Addr dst = kInvalidAddr;
   L4Port sport = 0;
   L4Port dport = 0;
-  bool tcp = false;  // top-k reports ride TCP in the paper; modeled as a tag
 
   proto::Message msg;
 
@@ -62,7 +61,6 @@ struct Packet {
   SimTime sent_at = 0;
 
   // Switch-visible per-traversal metadata (reset on each ingress).
-  int ingress_port = -1;
   bool from_recirc = false;
   uint32_t recirc_count = 0;
   // Stamped by the recirculation port; packets from before a reboot

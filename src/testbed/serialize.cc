@@ -41,10 +41,8 @@ JsonValue ConfigJson(const TestbedConfig& config) {
   out.Set("enable_cloning", config.cache.enable_cloning);
   out.Set("write_back", config.cache.write_back);
   out.Set("multi_packet", config.cache.multi_packet);
-  out.Set("dynamic_sizing", config.cache.dynamic_sizing);
   out.Set("run_cache_updates", config.control.run_cache_updates);
   out.Set("update_period", config.control.update_period);
-  out.Set("report_period", config.control.report_period);
   out.Set("hot_in", config.workload.hot_in);
   out.Set("hot_in_period", config.workload.hot_in_period);
   out.Set("hot_in_count", config.workload.hot_in_count);

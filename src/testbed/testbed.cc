@@ -173,41 +173,23 @@ std::vector<std::string> TestbedConfig::Validate() const {
             "ns) — a shorter window declares every link dead between "
             "probes");
     }
-    // Fabric fault targets must exist in this topology.
-    for (const fault::FaultEvent& ev : fault.events) {
-      if (ev.rack >= topo.fabric.num_racks)
-        err(std::string("fault event ") + fault::FaultKindName(ev.kind) +
-            " targets rack " + std::to_string(ev.rack) + " but only " +
-            std::to_string(topo.fabric.num_racks) + " racks exist");
-      if (ev.spine >= topo.fabric.num_spines)
-        err(std::string("fault event ") + fault::FaultKindName(ev.kind) +
-            " targets spine " + std::to_string(ev.spine) + " but only " +
-            std::to_string(topo.fabric.num_spines) + " spines exist");
-      if (ev.kind == fault::FaultKind::kCtrlDown ||
-          ev.kind == fault::FaultKind::kCtrlUp)
-        err("kCtrlDown/kCtrlUp target the single-switch controller "
-            "channel; on a fabric, crash the leaf (kLeafCrash) instead");
-    }
   } else {
-    // Single-switch testbed: fabric-scoped knobs and fault kinds have no
-    // target here.
+    // Single-switch testbed: fabric-scoped knobs have no target here.
     if (topo.fabric.failover)
       err("topo.fabric.failover requires a fabric topology "
           "(topo.fabric.num_racks >= 1)");
     if (fault.fabric_burst_loss.enabled())
       err("fault.fabric_burst_loss rides on leaf-spine uplinks; enable the "
           "fabric (topo.fabric.num_racks >= 1) to use it");
-    for (const fault::FaultEvent& ev : fault.events) {
-      if (ev.rack >= 0 || ev.spine >= 0)
-        err(std::string("fault event ") + fault::FaultKindName(ev.kind) +
-            " targets the fabric, but topo.fabric is disabled "
-            "(num_racks == 0)");
-    }
   }
-  {
-    const std::string ferr = fault.Validate();
-    if (!ferr.empty()) err("fault schedule: " + ferr);
-  }
+  if (const std::string ferr = fault.Validate(); !ferr.empty())
+    err("fault schedule: " + ferr);
+  if (const std::string ferr = fault.CheckTargets(
+          topo.num_servers,
+          topo.fabric.enabled() ? topo.fabric.num_racks : 0,
+          topo.fabric.num_spines);
+      !ferr.empty())
+    err(ferr);
 
   if (workload.num_keys == 0) err("workload.num_keys must be >= 1");
   const uint32_t min_key = wl::KeySpace::MinKeySize(workload.num_keys);
@@ -268,6 +250,13 @@ std::vector<std::string> TestbedConfig::Validate() const {
   if (scheme == Scheme::kOrbitCache && cache.orbit_cache_size == 0)
     err("cache.orbit_cache_size must be >= 1 under OrbitCache — for a run "
         "without a cache, use scheme NoCache");
+  if (scheme == Scheme::kOrbitCache && cache.multi_packet &&
+      !cache.enable_cloning)
+    err("cache.multi_packet requires cache.enable_cloning under OrbitCache "
+        "— multi-packet items are served through PRE clones");
+  if (scheme == Scheme::kOrbitCache && cache.write_back && !cache.epoch_guard)
+    err("cache.write_back requires cache.epoch_guard under OrbitCache — "
+        "the guard retires superseded dirty cache packets");
   if (cache.orbit_cache_size > cache.orbit_capacity)
     err("cache.orbit_cache_size (" + std::to_string(cache.orbit_cache_size) +
         ") exceeds cache.orbit_capacity (" +
@@ -278,8 +267,6 @@ std::vector<std::string> TestbedConfig::Validate() const {
 
   if (control.run_cache_updates && control.update_period <= 0)
     err("control.update_period must be > 0 when run_cache_updates is set");
-  if (control.run_cache_updates && control.report_period <= 0)
-    err("control.report_period must be > 0 when run_cache_updates is set");
 
   if (client.max_retries < 0) err("client.max_retries must be >= 0");
   if (client.request_timeout <= 0)
@@ -421,7 +408,7 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
                                ? kControllerBase + static_cast<Addr>(rack)
                                : kInvalidAddr;
     scfg.ctrl_port = kCtrlPort;
-    scfg.report_period = config.control.report_period;
+    scfg.report_period = config.control.update_period;
     server_addrs.push_back(scfg.addr);
     sim::LinkConfig lc;
     lc.rate_gbps = config.topo.server_link_gbps;
@@ -480,7 +467,6 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
     cspec.controller.max_cache_size = config.cache.orbit_capacity;
     cspec.controller.min_cache_size =
         std::min<size_t>(32, config.cache.orbit_cache_size);
-    cspec.controller.dynamic_sizing = config.cache.dynamic_sizing;
     cspec.controller.update_period = config.control.update_period;
     cspec.controller.orbit_port = kOrbitPort;
     fab_ctrl = std::make_unique<fabric::FabricController>(
@@ -501,66 +487,75 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
 
   // ---- fault injection ----------------------------------------------------
   // Built only when the config carries a schedule; the injector turns each
-  // scripted FaultEvent into one simulator event against these hooks.
+  // scripted FaultEvent into one simulator event and hands it to `apply`.
   // Validate() keeps every event on a target this topology has.
   std::unique_ptr<fault::FaultInjector> injector;
   if (!config.fault.events.empty()) {
-    fault::FaultHooks hooks;
-    hooks.set_server_link_down = [&server_links,
-                                  n = config.topo.num_servers](int s,
-                                                               bool down) {
-      ORBIT_CHECK_MSG(s >= 0 && s < n, "fault targets unknown server " << s);
-      server_links[static_cast<size_t>(s)]->set_down(down);
+    auto apply = [&](const fault::FaultEvent& ev) {
+      using fault::FaultKind;
+      const bool down = fault::OpensFault(ev.kind);
+      switch (ev.kind) {
+        case FaultKind::kServerCrash:
+        case FaultKind::kServerRestart:
+          server_links[static_cast<size_t>(ev.server)]->set_down(down);
+          break;
+        // Every leaf's data plane is wiped; after the configured delay every
+        // rack's controller rebuilds its cache from its shadow copy (§3.9).
+        case FaultKind::kSwitchReset:
+          for (int r = 0; r < racks; ++r) topo.leaf(r).ResetDataPlane();
+          break;
+        case FaultKind::kCtrlDown:
+        case FaultKind::kCtrlUp:
+          if (fab_ctrl == nullptr) break;
+          for (int r = 0; r < racks; ++r)
+            fab_ctrl->ctrl_link(r)->set_down(down);
+          break;
+        case FaultKind::kFabricLinkDown:
+        case FaultKind::kFabricLinkUp:
+          topo.uplink(ev.rack, ev.spine)->set_down(down);
+          break;
+        // A crash wipes the data plane *before* entering bypass, so the
+        // recirculation barrier retires every orbiting cache packet; the
+        // leaf then forwards by route while the fabric controller tops up
+        // the survivors (graceful degradation).
+        case FaultKind::kLeafCrash:
+        case FaultKind::kLeafRestart:
+          if (down) topo.leaf(ev.rack).ResetDataPlane();
+          topo.leaf(ev.rack).set_bypass(down);
+          if (fab_ctrl == nullptr) break;
+          if (down)
+            fab_ctrl->OnLeafDown(ev.rack);
+          else
+            fab_ctrl->OnLeafUp(ev.rack);
+          break;
+        case FaultKind::kSpineCrash:
+        case FaultKind::kSpineRestart:
+          for (int r = 0; r < racks; ++r)
+            topo.uplink(r, ev.spine)->set_down(down);
+          break;
+        case FaultKind::kLinkDegrade:
+        case FaultKind::kLinkRestore:
+          topo.uplink(ev.rack, ev.spine)
+              ->SetDegrade(ev.dir, down ? ev.degrade_loss : 0.0,
+                           down ? ev.degrade_latency : 0);
+          break;
+        case FaultKind::kRackPartition:
+        case FaultKind::kRackHeal:
+          for (int s = 0; s < spines; ++s)
+            topo.uplink(ev.rack, s)->set_down(down);
+          break;
+      }
     };
-    // A switch reset wipes every leaf's data plane; after the configured
-    // delay every rack's controller rebuilds its cache from its shadow
-    // copy (§3.9).
-    hooks.reset_switch = [&topo, racks] {
-      for (int r = 0; r < racks; ++r) topo.leaf(r).ResetDataPlane();
-    };
+    // Without a controller there is nothing to rebuild.
+    fault::FaultInjector::RebuildFn rebuild;
     if (fab_ctrl != nullptr) {
-      hooks.rebuild_cache = [&fab_ctrl, racks] {
-        for (int r = 0; r < racks; ++r) fab_ctrl->RebuildLeaf(r);
-      };
-      hooks.set_ctrl_link_down = [&fab_ctrl, racks](bool down) {
-        for (int r = 0; r < racks; ++r) fab_ctrl->ctrl_link(r)->set_down(down);
+      rebuild = [&fab_ctrl, racks](int rack) {
+        for (int r = 0; r < racks; ++r)
+          if (rack < 0 || r == rack) fab_ctrl->RebuildLeaf(r);
       };
     }
-    // Fabric hooks: uplink down/degrade flips the Link, a spine crash downs
-    // all its uplinks at once, a rack partition downs all the rack's
-    // uplinks.
-    hooks.set_fabric_link_down = [&topo](int r, int s, bool down) {
-      topo.uplink(r, s)->set_down(down);
-    };
-    hooks.set_fabric_link_degrade = [&topo](int r, int s, int dir,
-                                            double loss, SimTime lat) {
-      topo.uplink(r, s)->SetDegrade(dir, loss, lat);
-    };
-    hooks.set_spine_down = [&topo, racks](int s, bool down) {
-      for (int r = 0; r < racks; ++r) topo.uplink(r, s)->set_down(down);
-    };
-    hooks.set_rack_partition = [&topo, spines](int r, bool partitioned) {
-      for (int s = 0; s < spines; ++s)
-        topo.uplink(r, s)->set_down(partitioned);
-    };
-    // Leaf crash: wipe the data plane *before* entering bypass so the
-    // recirculation barrier retires every orbiting cache packet, then pass
-    // everything through (NoCache forwarding) while the fabric controller
-    // tops up the survivors (graceful degradation).
-    hooks.set_leaf_down = [&topo, &fab_ctrl](int r, bool down) {
-      if (down) topo.leaf(r).ResetDataPlane();
-      topo.leaf(r).set_bypass(down);
-      if (fab_ctrl == nullptr) return;
-      if (down)
-        fab_ctrl->OnLeafDown(r);
-      else
-        fab_ctrl->OnLeafUp(r);
-    };
-    hooks.rebuild_leaf = [&fab_ctrl](int r) {
-      if (fab_ctrl != nullptr) fab_ctrl->RebuildLeaf(r);
-    };
-    injector = std::make_unique<fault::FaultInjector>(&sim, config.fault,
-                                                      std::move(hooks));
+    injector = std::make_unique<fault::FaultInjector>(
+        &sim, config.fault, std::move(apply), std::move(rebuild));
   }
 
   // ---- telemetry ----------------------------------------------------------

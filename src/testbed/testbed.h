@@ -104,16 +104,15 @@ struct TestbedConfig {
     bool enable_cloning = true;
     bool write_back = false;
     bool multi_packet = false;
-    bool dynamic_sizing = false;
   };
   CacheTuning cache;
 
-  // Control-plane cadence. When run_cache_updates is false the preloaded
-  // cache stays fixed (the paper's static experiments).
+  // Control-plane cadence: the controller updates the cache, and servers
+  // report their hot keys, every update_period. When run_cache_updates is
+  // false the preloaded cache stays fixed (the paper's static experiments).
   struct ControlPlane {
     bool run_cache_updates = false;
     SimTime update_period = 100 * kMillisecond;
-    SimTime report_period = 100 * kMillisecond;
   };
   ControlPlane control;
 

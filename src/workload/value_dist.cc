@@ -32,19 +32,9 @@ uint32_t ValueDist::SizeFor(std::string_view key) const {
   return u < p_small_ ? small_size_ : large_size_;
 }
 
-uint32_t ValueDist::min_size() const {
-  if (kind_ == Kind::kFixed) return fixed_size_;
-  return small_size_ < large_size_ ? small_size_ : large_size_;
-}
-
 uint32_t ValueDist::max_size() const {
   if (kind_ == Kind::kFixed) return fixed_size_;
   return small_size_ > large_size_ ? small_size_ : large_size_;
-}
-
-double ValueDist::mean_size() const {
-  if (kind_ == Kind::kFixed) return fixed_size_;
-  return p_small_ * small_size_ + (1 - p_small_) * large_size_;
 }
 
 }  // namespace orbit::wl

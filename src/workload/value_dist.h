@@ -26,9 +26,7 @@ class ValueDist {
 
   uint32_t SizeFor(std::string_view key) const;
 
-  uint32_t min_size() const;
   uint32_t max_size() const;
-  double mean_size() const;
 
   // The parameters the distribution was built from: fixed_size() for a
   // Fixed one, the rest for a Bimodal one.

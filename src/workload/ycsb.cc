@@ -4,11 +4,9 @@ namespace orbit::wl {
 
 const std::vector<YcsbProfile>& YcsbCoreWorkloads() {
   static const std::vector<YcsbProfile> kProfiles = {
-      {"A", "update heavy (50/50)", 0.50, 0.99, false},
-      {"B", "read mostly (95/5)", 0.05, 0.99, false},
-      {"C", "read only", 0.00, 0.99, false},
-      {"D", "read latest", 0.05, 0.99, false},
-      {"F", "read-modify-write", 0.50, 0.99, true},
+      {"A", 0.50, 0.99},
+      {"B", 0.05, 0.99},
+      {"C", 0.00, 0.99},
   };
   return kProfiles;
 }

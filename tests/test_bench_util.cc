@@ -33,9 +33,10 @@ TEST(PaperConfig, MatchesSection51) {
   EXPECT_EQ(cfg.cache.orbit_cache_size, 128u);      // near-optimal cache size
   EXPECT_EQ(cfg.cache.netcache_size, 10'000u);      // 10K hottest preloaded
   // 82% 64B / 18% 1024B bimodal values (Cluster018-derived).
-  EXPECT_EQ(cfg.workload.value_dist.min_size(), 64u);
-  EXPECT_EQ(cfg.workload.value_dist.max_size(), 1024u);
-  EXPECT_NEAR(cfg.workload.value_dist.mean_size(), 0.82 * 64 + 0.18 * 1024, 1e-9);
+  EXPECT_TRUE(cfg.workload.value_dist.bimodal());
+  EXPECT_EQ(cfg.workload.value_dist.small_size(), 64u);
+  EXPECT_EQ(cfg.workload.value_dist.large_size(), 1024u);
+  EXPECT_DOUBLE_EQ(cfg.workload.value_dist.p_small(), 0.82);
 }
 
 TEST(PaperConfig, QuickModeOnlyShrinksScale) {

@@ -146,7 +146,26 @@ TEST(ConfigFingerprint, FaultScheduleChangesIdentity) {
 
 // ---- FaultInjector ------------------------------------------------------
 
-TEST(FaultInjector, FiresHooksAtScheduledTimes) {
+using Log = std::vector<std::pair<SimTime, std::string>>;
+
+// Records every event the injector applies and every rebuild it fires.
+struct Recorder {
+  explicit Recorder(sim::Simulator* sim) : sim(sim) {}
+  FaultInjector::ApplyFn Apply() {
+    return [this](const FaultEvent& ev) {
+      log.emplace_back(sim->now(), FaultKindName(ev.kind));
+    };
+  }
+  FaultInjector::RebuildFn Rebuild() {
+    return [this](int rack) {
+      log.emplace_back(sim->now(), "rebuild:" + std::to_string(rack));
+    };
+  }
+  sim::Simulator* sim;
+  Log log;
+};
+
+TEST(FaultInjector, AppliesEachEventAtItsTimeAndRebuildsAfterAReset) {
   sim::Simulator sim;
   FaultSchedule schedule;
   schedule.events.push_back({10 * kMicrosecond, FaultKind::kServerCrash, 3});
@@ -156,37 +175,18 @@ TEST(FaultInjector, FiresHooksAtScheduledTimes) {
   schedule.events.push_back({50 * kMicrosecond, FaultKind::kSwitchReset, -1});
   schedule.switch_rebuild_delay = 5 * kMicrosecond;
 
-  struct Entry {
-    SimTime at;
-    std::string what;
-  };
-  std::vector<Entry> log;
-  FaultHooks hooks;
-  hooks.set_server_link_down = [&](int server, bool down) {
-    log.push_back({sim.now(), std::string(down ? "crash:" : "restart:") +
-                                  std::to_string(server)});
-  };
-  hooks.set_ctrl_link_down = [&](bool down) {
-    log.push_back({sim.now(), down ? "ctrl_down" : "ctrl_up"});
-  };
-  hooks.reset_switch = [&] { log.push_back({sim.now(), "reset"}); };
-  hooks.rebuild_cache = [&] { log.push_back({sim.now(), "rebuild"}); };
-
-  FaultInjector injector(&sim, schedule, std::move(hooks));
+  Recorder rec(&sim);
+  FaultInjector injector(&sim, schedule, rec.Apply(), rec.Rebuild());
   injector.Arm();
   sim.RunToCompletion();
 
-  ASSERT_EQ(log.size(), 6u);
-  EXPECT_EQ(log[0].what, "crash:3");
-  EXPECT_EQ(log[0].at, 10 * kMicrosecond);
-  EXPECT_EQ(log[1].what, "restart:3");
-  EXPECT_EQ(log[2].what, "ctrl_down");
-  EXPECT_EQ(log[3].what, "ctrl_up");
-  EXPECT_EQ(log[4].what, "reset");
-  EXPECT_EQ(log[4].at, 50 * kMicrosecond);
-  EXPECT_EQ(log[5].what, "rebuild");
-  EXPECT_EQ(log[5].at, 55 * kMicrosecond) << "rebuild_delay after the reset";
-
+  EXPECT_EQ(rec.log, (Log{{10 * kMicrosecond, "server_crash"},
+                          {20 * kMicrosecond, "server_restart"},
+                          {30 * kMicrosecond, "ctrl_down"},
+                          {40 * kMicrosecond, "ctrl_up"},
+                          {50 * kMicrosecond, "switch_reset"},
+                          {55 * kMicrosecond, "rebuild:-1"}}))
+      << "a reset rebuilds every rack rebuild_delay later";
   const FaultInjector::Stats& s = injector.stats();
   EXPECT_EQ(s.server_crashes, 1u);
   EXPECT_EQ(s.server_restarts, 1u);
@@ -200,24 +200,14 @@ TEST(FaultInjector, LeafRestartRebuildsThatRackAfterTheDelay) {
   sim::Simulator sim;
   const FaultSchedule schedule = LeafCrashAt(
       3, 10 * kMicrosecond, 30 * kMicrosecond, /*rebuild_delay=*/7 * kMicrosecond);
-  using Log = std::vector<std::pair<SimTime, std::string>>;
-  Log log;
-  FaultHooks hooks;
-  hooks.set_leaf_down = [&](int rack, bool down) {
-    log.emplace_back(sim.now(),
-                     (down ? "down:" : "up:") + std::to_string(rack));
-  };
-  hooks.rebuild_leaf = [&](int rack) {
-    log.emplace_back(sim.now(), "rebuild:" + std::to_string(rack));
-  };
-
-  FaultInjector injector(&sim, schedule, std::move(hooks));
+  Recorder rec(&sim);
+  FaultInjector injector(&sim, schedule, rec.Apply(), rec.Rebuild());
   injector.Arm();
   sim.RunToCompletion();
 
-  EXPECT_EQ(log, (Log{{10 * kMicrosecond, "down:3"},
-                      {30 * kMicrosecond, "up:3"},
-                      {37 * kMicrosecond, "rebuild:3"}}))
+  EXPECT_EQ(rec.log, (Log{{10 * kMicrosecond, "leaf_crash"},
+                          {30 * kMicrosecond, "leaf_restart"},
+                          {37 * kMicrosecond, "rebuild:3"}}))
       << "the rebuild fires rebuild_delay after the restart, for rack 3";
   const FaultInjector::Stats& s = injector.stats();
   EXPECT_EQ(s.leaf_crashes, 1u);
@@ -227,14 +217,40 @@ TEST(FaultInjector, LeafRestartRebuildsThatRackAfterTheDelay) {
   EXPECT_EQ(s.injected, 3u);
 }
 
-TEST(FaultInjector, EmptyHooksAreCountedNoops) {
+TEST(FaultInjector, WithoutARebuildNoRebuildIsArmed) {
   sim::Simulator sim;
-  FaultSchedule schedule = ServerCrashAt(0, kMicrosecond, 2 * kMicrosecond);
-  FaultInjector injector(&sim, schedule, FaultHooks{});
+  FaultSchedule schedule = LeafCrashAt(0, kMicrosecond, 2 * kMicrosecond);
+  schedule.events.push_back({3 * kMicrosecond, FaultKind::kSwitchReset, -1});
+  Recorder rec(&sim);
+  FaultInjector injector(&sim, schedule, rec.Apply());
   injector.Arm();
   sim.RunToCompletion();
-  EXPECT_EQ(injector.stats().injected, 2u);
+  EXPECT_EQ(rec.log.size(), 3u) << "only the scheduled events";
+  EXPECT_EQ(injector.stats().injected, 3u);
   EXPECT_EQ(injector.stats().cache_rebuilds, 0u);
+  EXPECT_EQ(injector.stats().leaf_rebuilds, 0u);
+  EXPECT_EQ(sim.events_processed(), 3u);
+}
+
+TEST(FaultKind, EachPairOpensWithItsFirstKind) {
+  const std::vector<std::pair<FaultKind, FaultKind>> pairs = {
+      {FaultKind::kServerCrash, FaultKind::kServerRestart},
+      {FaultKind::kCtrlDown, FaultKind::kCtrlUp},
+      {FaultKind::kFabricLinkDown, FaultKind::kFabricLinkUp},
+      {FaultKind::kLeafCrash, FaultKind::kLeafRestart},
+      {FaultKind::kSpineCrash, FaultKind::kSpineRestart},
+      {FaultKind::kLinkDegrade, FaultKind::kLinkRestore},
+      {FaultKind::kRackPartition, FaultKind::kRackHeal},
+  };
+  std::set<std::string> names = {FaultKindName(FaultKind::kSwitchReset)};
+  EXPECT_TRUE(OpensFault(FaultKind::kSwitchReset));
+  for (const auto& [open, close] : pairs) {
+    EXPECT_TRUE(OpensFault(open)) << FaultKindName(open);
+    EXPECT_FALSE(OpensFault(close)) << FaultKindName(close);
+    names.insert(FaultKindName(open));
+    names.insert(FaultKindName(close));
+  }
+  EXPECT_EQ(names.size(), 15u) << "every kind has its own name";
 }
 
 TEST(FaultSchedule, BuildersAndEmptiness) {
@@ -255,6 +271,30 @@ TEST(FaultSchedule, BuildersAndEmptiness) {
   EXPECT_FALSE(burst_only.empty());
 }
 
+TEST(FaultSchedule, CheckTargetsNamesTargetsTheTopologyLacks) {
+  const int servers = 4, racks = 2, spines = 2;
+  EXPECT_EQ(ServerCrashAt(3, 1, 2).CheckTargets(servers, racks, spines), "");
+  EXPECT_EQ(ServerCrashAt(4, 1, 2).CheckTargets(servers, racks, spines),
+            "fault event server_crash targets server 4 but only 4 servers "
+            "exist");
+  EXPECT_NE(LeafCrashAt(2, 1, 2).CheckTargets(servers, racks, spines)
+                .find("targets rack 2 but only 2 racks exist"),
+            std::string::npos);
+  EXPECT_NE(SpineCrashAt(2, 1, 2).CheckTargets(servers, racks, spines)
+                .find("targets spine 2 but only 2 spines exist"),
+            std::string::npos);
+  EXPECT_NE(RackPartitionAt(0, 1, 2).CheckTargets(servers, 0, 0)
+                .find("topo.fabric is disabled"),
+            std::string::npos)
+      << "a single switch has no fabric targets";
+  FaultSchedule ctrl;
+  ctrl.events.push_back({1, FaultKind::kCtrlDown, -1});
+  EXPECT_EQ(ctrl.CheckTargets(servers, 0, 0), "");
+  EXPECT_NE(ctrl.CheckTargets(servers, racks, spines).find("crash the leaf"),
+            std::string::npos)
+      << "a fabric has no single controller channel";
+}
+
 // ---- end-to-end testbed runs -------------------------------------------
 
 testbed::TestbedConfig TinyConfig() {
@@ -267,6 +307,17 @@ testbed::TestbedConfig TinyConfig() {
   cfg.warmup = 2 * kMillisecond;
   cfg.duration = 10 * kMillisecond;
   return cfg;
+}
+
+TEST(TestbedFaults, ServerTargetBeyondTheTopologyFailsValidate) {
+  // It used to pass Validate() and abort mid-run at the crash.
+  testbed::TestbedConfig cfg = TinyConfig();
+  cfg.fault = ServerCrashAt(7, 4 * kMillisecond, 8 * kMillisecond);
+  const std::vector<std::string> errors = cfg.Validate();
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0],
+            "fault event server_crash targets server 7 but only 4 servers "
+            "exist");
 }
 
 TEST(TestbedFaults, ServerCrashCollapsesThenRecoversWithRetries) {
@@ -372,7 +423,6 @@ TEST(TestbedFaults, CtrlChannelOutageIsInjected) {
   cfg.scheme = testbed::Scheme::kOrbitCache;
   cfg.control.run_cache_updates = true;
   cfg.control.update_period = 2 * kMillisecond;
-  cfg.control.report_period = 2 * kMillisecond;
   cfg.fault.events.push_back({4 * kMillisecond, FaultKind::kCtrlDown, -1});
   cfg.fault.events.push_back({7 * kMillisecond, FaultKind::kCtrlUp, -1});
   const testbed::TestbedResult res = testbed::RunTestbed(cfg);

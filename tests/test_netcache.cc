@@ -247,6 +247,43 @@ TEST(NetCache, LostNewestWriteReplyCannotRevalidateStaleValue) {
   EXPECT_TRUE(rig.program_->IsValid(idx));
 }
 
+TEST(NetCache, ReplyStampedBeforeAResetCannotRevalidate) {
+  // A write reply that waits out a switch reset (in a server queue, say)
+  // must not match an epoch that a write after the rebuild is given.
+  NetRig rig(SmallConfig());
+  const Key key = "nckey-0000000015";
+  auto pass_write = [&] {
+    proto::Message msg;
+    msg.op = proto::Op::kWriteReq;
+    msg.hkey = HashKey128(key);
+    msg.key = key;
+    msg.value = kv::Value::Synthetic(32, 0);
+    auto pkt = sim::MakePacket(kClientAddr, kServerAddr, 9000, kPort,
+                               std::move(msg));
+    rig.program_->Ingress(*pkt, rig.sw_);
+    return pkt->msg;
+  };
+
+  ASSERT_TRUE(rig.program_->InsertEntry(key, 0));
+  pass_write();
+  const proto::Message before_reset = pass_write();
+  rig.sw_.ResetDataPlane();
+  ASSERT_TRUE(rig.program_->InsertEntry(key, 0));  // the rebuild
+  pass_write();
+  pass_write();
+
+  proto::Message msg = before_reset;
+  msg.op = proto::Op::kWriteRep;
+  msg.value = kv::Value::Synthetic(32, 3);
+  auto reply = sim::MakePacket(kServerAddr, kClientAddr, kPort, 9000,
+                               std::move(msg));
+  rig.program_->Ingress(*reply, rig.sw_);
+  EXPECT_FALSE(rig.program_->IsValid(0))
+      << "a reply from before the reset revalidated the entry";
+  EXPECT_EQ(rig.program_->stats().validations, 0u);
+  EXPECT_EQ(rig.program_->stats().stale_revalidations, 1u);
+}
+
 TEST(NetCache, InvalidEntryReadsGoToServer) {
   NetRig rig(SmallConfig());
   const Key key = "nckey-0000000006";

@@ -235,6 +235,45 @@ TEST(OrbitProgram, InsertEntryRejectsBadIndexAndFullTable) {
       << "lookup table at capacity";
 }
 
+TEST(OrbitProgram, ReplyStampedBeforeAResetCannotRevalidate) {
+  // A write reply that waits out a switch reset (in a server queue, say)
+  // must not match an epoch that a write after the rebuild is given.
+  Rig rig(SmallRig());
+  const Key key = "hot-key-00000000";
+  const Hash128 hkey = HashKey128(key);
+  const Addr server = rig.ServerAddrFor(key);
+  auto pass_write = [&] {
+    proto::Message msg;
+    msg.op = proto::Op::kWriteReq;
+    msg.hkey = hkey;
+    msg.key = key;
+    msg.value = kv::Value::Synthetic(64, 0);
+    auto pkt = sim::MakePacket(testrig::kClientAddr, server, 9000,
+                               testrig::kPort, std::move(msg));
+    rig.program().Ingress(*pkt, rig.sw());
+    return pkt->msg;
+  };
+
+  ASSERT_TRUE(rig.program().InsertEntry(hkey, 0));
+  pass_write();
+  const proto::Message before_reset = pass_write();
+  rig.sw().ResetDataPlane();
+  ASSERT_TRUE(rig.program().InsertEntry(hkey, 0));  // the rebuild
+  pass_write();
+  pass_write();
+
+  proto::Message msg = before_reset;
+  msg.op = proto::Op::kWriteRep;
+  msg.value = kv::Value::Synthetic(64, 3);
+  auto reply = sim::MakePacket(server, testrig::kClientAddr, testrig::kPort,
+                               9000, std::move(msg));
+  rig.program().Ingress(*reply, rig.sw());
+  EXPECT_FALSE(rig.program().IsValid(0))
+      << "a reply from before the reset revalidated the entry";
+  EXPECT_EQ(rig.program().stats().validations, 0u);
+  EXPECT_EQ(rig.program().stats().stale_validations_skipped, 1u);
+}
+
 TEST(OrbitProgram, ResourceFootprintMatchesPaper) {
   // §4: the prototype fits in 9 stages with modest SRAM.
   Rig rig(SmallRig());

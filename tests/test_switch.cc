@@ -111,13 +111,6 @@ TEST_F(SwitchTest, ProgramDropCounts) {
   EXPECT_EQ(sw_.stats().dropped_by_program, 1u);
 }
 
-TEST_F(SwitchTest, ExplicitPortForwarding) {
-  program_.plan[5] = IngressResult::ToPort(port_a_);
-  net_.Send(&b_, 0, Pkt(5, /*dst=*/99));  // dst unrouted, port explicit
-  sim_.RunToCompletion();
-  ASSERT_EQ(a_.arrivals.size(), 1u);
-}
-
 TEST_F(SwitchTest, RecirculationReentersWithFlagAndCount) {
   // First pass recirculates; second pass forwards to b.
   program_.plan[5] = IngressResult::Recirculate();

@@ -130,7 +130,6 @@ TEST(Testbed, DynamicWorkloadRecoversAfterSwap) {
   cfg.workload.hot_in_period = 400 * kMillisecond;
   cfg.control.run_cache_updates = true;
   cfg.control.update_period = 100 * kMillisecond;
-  cfg.control.report_period = 100 * kMillisecond;
   cfg.warmup = 0;
   cfg.duration = 1200 * kMillisecond;
   cfg.timeline_bin = 50 * kMillisecond;
@@ -193,6 +192,28 @@ TEST(TestbedValidate, EmptyOrbitCacheIsRejected) {
   // NetCache with no preloaded items stays valid: it is the NoCache oracle.
   cfg.scheme = Scheme::kNetCache;
   cfg.cache.netcache_size = 0;
+  EXPECT_TRUE(cfg.Validate().empty());
+}
+
+TEST(TestbedValidate, OrbitCacheMultiPacketNeedsCloning) {
+  // It used to pass and then abort in OrbitProgram's constructor.
+  TestbedConfig cfg = SmallConfig(Scheme::kOrbitCache);
+  cfg.cache.multi_packet = true;
+  EXPECT_TRUE(cfg.Validate().empty());
+  cfg.cache.enable_cloning = false;
+  EXPECT_TRUE(HasErrorMentioning(cfg.Validate(), "cache.enable_cloning"));
+  cfg.scheme = Scheme::kNetCache;  // only OrbitCache clones fragments
+  EXPECT_TRUE(cfg.Validate().empty());
+}
+
+TEST(TestbedValidate, OrbitCacheWriteBackNeedsTheEpochGuard) {
+  // It used to pass and then abort in OrbitProgram's constructor.
+  TestbedConfig cfg = SmallConfig(Scheme::kOrbitCache);
+  cfg.cache.write_back = true;
+  EXPECT_TRUE(cfg.Validate().empty());
+  cfg.cache.epoch_guard = false;
+  EXPECT_TRUE(HasErrorMentioning(cfg.Validate(), "cache.epoch_guard"));
+  cfg.scheme = Scheme::kNetCache;
   EXPECT_TRUE(cfg.Validate().empty());
 }
 

@@ -11,9 +11,9 @@ TEST(ValueDist, FixedAlwaysReturnsSize) {
   ValueDist d = ValueDist::Fixed(512);
   for (int i = 0; i < 100; ++i)
     EXPECT_EQ(d.SizeFor("k" + std::to_string(i)), 512u);
-  EXPECT_EQ(d.min_size(), 512u);
+  EXPECT_FALSE(d.bimodal());
+  EXPECT_EQ(d.fixed_size(), 512u);
   EXPECT_EQ(d.max_size(), 512u);
-  EXPECT_EQ(d.mean_size(), 512.0);
 }
 
 TEST(ValueDist, BimodalIsDeterministicPerKey) {
@@ -35,9 +35,11 @@ TEST(ValueDist, BimodalMatchesPaperMix) {
     if (s == 64) ++small;
   }
   EXPECT_NEAR(static_cast<double>(small) / n, 0.82, 0.01);
-  EXPECT_EQ(d.min_size(), 64u);
+  EXPECT_TRUE(d.bimodal());
+  EXPECT_EQ(d.small_size(), 64u);
+  EXPECT_EQ(d.large_size(), 1024u);
+  EXPECT_DOUBLE_EQ(d.p_small(), 0.82);
   EXPECT_EQ(d.max_size(), 1024u);
-  EXPECT_NEAR(d.mean_size(), 0.82 * 64 + 0.18 * 1024, 1e-9);
 }
 
 TEST(ValueDist, SeedDecorrelatesAssignments) {
