@@ -310,7 +310,8 @@ testbed::TestbedConfig TinyConfig() {
 }
 
 TEST(TestbedFaults, ServerTargetBeyondTheTopologyFailsValidate) {
-  // It used to pass Validate() and abort mid-run at the crash.
+  // A crash of a server the topology lacks fails Validate() instead of
+  // aborting the run when it fires.
   testbed::TestbedConfig cfg = TinyConfig();
   cfg.fault = ServerCrashAt(7, 4 * kMillisecond, 8 * kMillisecond);
   const std::vector<std::string> errors = cfg.Validate();

@@ -196,7 +196,7 @@ TEST(TestbedValidate, EmptyOrbitCacheIsRejected) {
 }
 
 TEST(TestbedValidate, OrbitCacheMultiPacketNeedsCloning) {
-  // It used to pass and then abort in OrbitProgram's constructor.
+  // Validate() must catch what OrbitProgram's constructor aborts on.
   TestbedConfig cfg = SmallConfig(Scheme::kOrbitCache);
   cfg.cache.multi_packet = true;
   EXPECT_TRUE(cfg.Validate().empty());
@@ -207,7 +207,7 @@ TEST(TestbedValidate, OrbitCacheMultiPacketNeedsCloning) {
 }
 
 TEST(TestbedValidate, OrbitCacheWriteBackNeedsTheEpochGuard) {
-  // It used to pass and then abort in OrbitProgram's constructor.
+  // Validate() must catch what OrbitProgram's constructor aborts on.
   TestbedConfig cfg = SmallConfig(Scheme::kOrbitCache);
   cfg.cache.write_back = true;
   EXPECT_TRUE(cfg.Validate().empty());
