@@ -166,7 +166,11 @@ SimTime ClientNode::TimeoutFor(int attempt) const {
 }
 
 void ClientNode::ArmDeadline(uint32_t seq, int attempt) {
-  sim_->AfterTimer(TimeoutFor(attempt), this, DeadlineArg(seq, attempt));
+  const auto level = static_cast<size_t>(attempt);
+  while (deadline_lanes_.size() <= level)
+    deadline_lanes_.push_back(sim_->NewLane());
+  sim_->AfterTimer(TimeoutFor(attempt), this, DeadlineArg(seq, attempt),
+                   deadline_lanes_[level]);
 }
 
 void ClientNode::OnDeadline(uint32_t seq, int attempt) {

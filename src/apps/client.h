@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "common/random.h"
 #include "common/types.h"
@@ -195,6 +196,9 @@ class ClientNode : public sim::Node, public sim::TimerHandler {
   bool running_ = false;
   uint32_t next_seq_ = 1;
   std::unordered_map<uint32_t, Pending> pending_;
+  // One event lane per attempt level, made on first use: deadlines of one
+  // level share one timeout, so they come due in the order they are armed.
+  std::vector<sim::LaneId> deadline_lanes_;
   std::unordered_map<Key, uint64_t> last_version_;  // staleness tracking
 
   stats::Histogram lat_cached_;

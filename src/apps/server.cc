@@ -24,6 +24,7 @@ ServerNode::ServerNode(sim::Simulator* sim, sim::Network* net, int port,
       value_size_(std::move(value_size)) {
   ORBIT_CHECK(sim != nullptr && net != nullptr);
   ORBIT_CHECK(value_size_ != nullptr);
+  completion_lane_ = sim->NewLane();
   if (config.controller_addr != kInvalidAddr)
     top_k_.emplace(config.report_k > 0 ? config.report_k : 1, 5, 2048,
                    0x746f706bull + config.srv_id);
@@ -116,7 +117,7 @@ void ServerNode::OnPacket(sim::PacketPtr pkt, int /*port*/) {
   // The request rides the completion timer as its argument (a Packet* is
   // never 0, so it cannot collide with the report-tick sentinel).
   sim_->AtTimer(busy_until_, this,
-                reinterpret_cast<uint64_t>(pkt.release()));
+                reinterpret_cast<uint64_t>(pkt.release()), completion_lane_);
 }
 
 kv::Value ServerNode::GetOrSynthesize(const Key& key) {

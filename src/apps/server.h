@@ -124,6 +124,8 @@ class ServerNode : public sim::Node, public sim::TimerHandler {
   std::optional<wl::TopKTracker> top_k_;
 
   SimTime busy_until_ = 0;
+  // Completions come due in admission order (busy_until_ never falls).
+  sim::LaneId completion_lane_ = sim::kNoLane;
   size_t queue_depth_ = 0;
   // Reply-message scratch reused across requests so the key string keeps
   // its capacity (every case in Process() assigns every field it reads).

@@ -215,10 +215,16 @@ struct ToggleState {
 }  // namespace
 
 std::string FaultSchedule::Validate() const {
+  if (switch_rebuild_delay < 0)
+    return Msg("switch_rebuild_delay must be >= 0 (got %lldns)",
+               static_cast<long long>(switch_rebuild_delay));
   // Field-shape checks first, in the order the user wrote the events.
   for (const FaultEvent& ev : events) {
     const char* name = FaultKindName(ev.kind);
     const long long at = static_cast<long long>(ev.at);
+    if (ev.at < 0)
+      return Msg("%s at %lldns is before the run starts (at must be >= 0)",
+                 name, at);
     switch (Row(ev.kind).target) {
       case Target::kNone:
       case Target::kCtrl:

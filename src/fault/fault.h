@@ -93,8 +93,9 @@ struct FaultSchedule {
            !fabric_burst_loss.enabled();
   }
 
-  // Structural validation: every event names a target of the right shape,
-  // degrade parameters are sane, and no two events on the same target
+  // Structural validation: the rebuild delay and every event time are
+  // non-negative, every event names a target of the right shape, degrade
+  // parameters are sane, and no two events on the same target
   // overlap or contradict (a crash during an existing crash, a restart
   // with nothing to restart, two events on one target at the same
   // instant). Returns "" when valid, else one actionable error message.

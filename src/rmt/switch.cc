@@ -34,6 +34,7 @@ SwitchDevice::SwitchDevice(sim::Simulator* sim, sim::Network* net,
                            std::string name, const AsicConfig& config)
     : sim_(sim), net_(net), name_(std::move(name)), resources_(config) {
   ORBIT_CHECK(sim != nullptr && net != nullptr);
+  recirc_lane_ = sim->NewLane();
 }
 
 void SwitchDevice::SetProgram(SwitchProgram* program) {
@@ -331,7 +332,7 @@ void SwitchDevice::Recirculate(sim::PacketPtr pkt, SimTime pipe_delay) {
     default:
       break;
   }
-  sim_->Deliver(done + loop, this, kRecircPort, std::move(pkt));
+  sim_->Deliver(done + loop, this, kRecircPort, std::move(pkt), recirc_lane_);
 }
 
 }  // namespace orbit::rmt

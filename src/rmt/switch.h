@@ -206,9 +206,12 @@ class SwitchDevice : public sim::Node {
   // Pipeline pacing.
   SimTime pipe_next_free_ = 0;
 
-  // Recirculation channel state (single internal port).
+  // Recirculation channel state (single internal port). Passes come back
+  // in the order they were sent, except after a flush zeroes the busy
+  // horizon (they then go loose, see sim::EventQueue).
   SimTime recirc_busy_until_ = 0;
   uint32_t recirc_generation_ = 0;
+  sim::LaneId recirc_lane_ = sim::kNoLane;
 
   // Telemetry sinks (not owned; may be null).
   telemetry::IntSink* int_ = nullptr;

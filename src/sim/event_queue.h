@@ -9,28 +9,33 @@
 //     pointer plus a 64-bit argument, so scheduling one allocates nothing.
 // An Event is 48 bytes on x86-64.
 //
-// Ordering: events run in timestamp order, and events at equal timestamps
-// fire in insertion order. The structure behind that guarantee is a 4-ary
-// min-heap of small (time, bucket) entries over FIFO buckets of events:
+// Ordering: events pop in (time, seq) order, where seq is one global
+// sequence number taken at every push. So equal timestamps fire in push
+// order — the determinism guarantee every byte-identity claim rests on.
 //
-//   * every push appends the event to a bucket — consecutive same-time
-//     pushes share one bucket, so a burst of equal-time events costs one
-//     heap operation total and drains as a FIFO run;
-//   * buckets are stamped with a creation sequence, and the heap orders by
-//     (time, creation). Any later same-time event lands in a younger
-//     bucket, so cross-bucket order is still insertion order;
-//   * the heap only ever sifts 24-byte entries — the 48-byte Event structs
-//     are written once into their bucket and moved once on pop, never
-//     during reheapification.
+// FIFO lanes. Most events come from a source whose pushes are already in
+// time order: a link direction's deliveries, a switch's recirculation
+// passes, one attempt level of a client's deadlines, a server's service
+// completions. Such a source owns a lane (NewLane) and names it on push.
+// A push joins its lane when its time is not before the lane's last push;
+// otherwise it goes to the heap on its own, as does every push that names
+// no lane. A 4-ary min-heap orders 24-byte (time, seq, source) entries:
+// one per non-empty lane (its head) and one per loose event. Popping a
+// lane's head puts the lane's next head in its place with one sift, so a
+// lane costs the heap nothing per event beyond that sift.
 //
-// Bucket storage and event vectors are recycled through freelists, so the
-// steady state allocates nothing. The two structures that grow with the
-// number of pending events hold no storage the queue has not written:
-// buckets live in a deque (fixed blocks, never moved), and the heap array
-// grows by value-initialising its new half. A doubling vector would leave
-// up to half its capacity untouched, and whether the kernel backs such
-// pages (transparent huge pages fill a partly-used 2 MiB range) changes a
-// run's resident memory by megabytes from one process to the next.
+// A lane is only a hint. Because every pop compares (time, seq), any
+// choice of lane, or none, pops the same sequence; a source whose order
+// breaks (a gray link healing, a recirculation flush) just pushes loose
+// until its lane drains.
+//
+// Storage stays dense: a growing array that leaves part of its capacity
+// untouched lets the kernel back that range or not (transparent huge pages
+// fill a partly-used 2 MiB range), which moves a run's resident memory by
+// megabytes from one process to the next. So lane events live in fixed
+// blocks of 64 drawn from one freelist that all lanes share (an empty lane
+// keeps one block), loose events in a deque of slots behind a freelist,
+// and the heap array grows by value-initialising its new half.
 #pragma once
 
 #include <cstdint>
@@ -56,21 +61,38 @@ class TimerHandler {
   ~TimerHandler() = default;
 };
 
+// A FIFO lane's id (EventQueue::NewLane); kNoLane pushes to the heap.
+using LaneId = uint32_t;
+inline constexpr LaneId kNoLane = ~LaneId{0};
+
 struct Event {
   SimTime time = 0;
-  // Delivery payload (hot path) — used when node != nullptr.
-  Node* node = nullptr;
+  uint64_t seq = 0;  // push order, set by the queue
+  union {
+    Node* node = nullptr;  // delivery target
+    TimerHandler* timer;   // timer target
+  };
   int port = -1;
+  // A delivery (node, port, pkt) when set, else a timer (timer, arg).
+  bool delivery = false;
   PacketPtr pkt;
-  // Intrusive timer — used when node == nullptr.
-  TimerHandler* timer = nullptr;
   uint64_t arg = 0;
 };
 
 class EventQueue {
  public:
-  void PushDelivery(SimTime t, Node* node, int port, PacketPtr pkt);
-  void PushTimer(SimTime t, TimerHandler* timer, uint64_t arg);
+  EventQueue() = default;
+  // Lanes point into the queue's own block storage.
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
+
+  // A new, empty lane. Lanes live as long as the queue.
+  LaneId NewLane();
+
+  void PushDelivery(SimTime t, Node* node, int port, PacketPtr pkt,
+                    LaneId lane = kNoLane);
+  void PushTimer(SimTime t, TimerHandler* timer, uint64_t arg,
+                 LaneId lane = kNoLane);
 
   bool empty() const { return size_ == 0; }
   size_t size() const { return size_; }
@@ -85,42 +107,54 @@ class EventQueue {
   Event Pop();
 
  private:
-  struct Bucket {
-    std::vector<Event> events;
-    uint32_t head = 0;  // next index to pop
+  static constexpr uint32_t kBlockEvents = 64;
+  struct Block {
+    Event events[kBlockEvents];
+    Block* next = nullptr;  // the lane's next block, or the freelist's
   };
-  // Heap entries order by (time, bseq): bseq is the bucket's creation
-  // stamp, which makes cross-bucket equal-time order match insertion
-  // order without a per-event sequence compare.
+  // Events [head, tail) of a chain of blocks from head_block to
+  // tail_block; both blocks are null until the first push.
+  struct Lane {
+    Block* head_block = nullptr;
+    Block* tail_block = nullptr;
+    uint32_t head = 0;
+    uint32_t tail = 0;
+    SimTime last_time = 0;  // time of the newest event
+    bool empty() const { return head_block == tail_block && head == tail; }
+  };
+  // A lane's head (loose == false, source = lane id) or a loose event
+  // (source = its slot in loose_).
   struct Entry {
     SimTime time = 0;
-    uint64_t bseq = 0;
-    uint32_t bucket = 0;
+    uint64_t seq = 0;
+    uint32_t source = 0;
+    bool loose = false;
   };
 
-  Event& Append(SimTime t);
+  // Takes the next seq and returns the slot the event goes in, with its
+  // time and seq set.
+  Event& Place(SimTime t, LaneId lane);
+  Block* NewBlock();
+  void HeapPush(const Entry& entry);
+  void HeapPopTop();
   void SiftUp(size_t i);
   void SiftDown(size_t i);
   static bool Before(const Entry& a, const Entry& b) {
-    return a.time < b.time || (a.time == b.time && a.bseq < b.bseq);
+    return a.time < b.time || (a.time == b.time && a.seq < b.seq);
   }
 
   // 4-ary implicit min-heap in heap_[0, heap_size_); every slot past it
   // is written too (see the header comment).
   std::vector<Entry> heap_;
   size_t heap_size_ = 0;
-  std::deque<Bucket> buckets_;
-  std::vector<uint32_t> free_buckets_;
+  std::vector<Lane> lanes_;
+  std::deque<Block> blocks_;  // never moves a block
+  Block* free_blocks_ = nullptr;
+  std::deque<Event> loose_;
+  std::vector<uint32_t> free_loose_;
   size_t size_ = 0;
   size_t pending_deliveries_ = 0;
-  uint64_t next_bucket_seq_ = 0;
-  // One-entry open-bucket cache: the most recently created or appended-to
-  // bucket. Consecutive pushes at the same timestamp (clone storms, bursty
-  // deliveries) append without touching the heap. Invalidated when that
-  // bucket drains.
-  bool cache_valid_ = false;
-  SimTime cache_time_ = 0;
-  uint32_t cache_bucket_ = 0;
+  uint64_t next_seq_ = 0;
 };
 
 }  // namespace orbit::sim

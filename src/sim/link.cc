@@ -24,8 +24,10 @@ Link::Link(Simulator* sim, Node* a, int port_a, Node* b, int port_b,
   ORBIT_CHECK(config.rate_gbps > 0);
   chans_[0].to = b;
   chans_[0].to_port = port_b;
+  chans_[0].lane = sim->NewLane();
   chans_[1].to = a;
   chans_[1].to_port = port_a;
+  chans_[1].lane = sim->NewLane();
 }
 
 SimTime Link::TxTime(uint32_t bytes) const {
@@ -135,7 +137,7 @@ void Link::Send(int from, PacketPtr pkt, SimTime extra_delay) {
   // gray-link latency for this direction).
   pkt->from_recirc = false;
   sim_->Deliver(done + config_.propagation + ch.degrade_latency, ch.to,
-                ch.to_port, std::move(pkt));
+                ch.to_port, std::move(pkt), ch.lane);
 }
 
 void Link::SetDegrade(int from, double loss_rate, SimTime extra_latency) {

@@ -14,6 +14,7 @@
 
 #include "common/random.h"
 #include "common/types.h"
+#include "sim/event_queue.h"
 #include "sim/packet.h"
 #include "telemetry/int/int.h"
 
@@ -124,6 +125,9 @@ class Link {
     Node* to = nullptr;
     int to_port = -1;
     SimTime busy_until = 0;
+    // Arrivals come in send order, except after a degrade's extra latency
+    // falls (they then go loose, see EventQueue).
+    LaneId lane = kNoLane;
     ChannelStats stats;
     uint32_t int_hop = 0;  // interned hop name for this direction
     // Always-on queue-depth histogram; nullptr when histograms are off.

@@ -38,21 +38,24 @@ void Simulator::CheckDeadline() const {
     throw DeadlineExceeded();
 }
 
-void Simulator::AtTimer(SimTime t, TimerHandler* timer, uint64_t arg) {
+void Simulator::AtTimer(SimTime t, TimerHandler* timer, uint64_t arg,
+                        LaneId lane) {
   ORBIT_CHECK_MSG(t >= now_, "scheduling into the past: " << t << " < " << now_);
   ORBIT_CHECK(timer != nullptr);
-  queue_.PushTimer(t, timer, arg);
+  queue_.PushTimer(t, timer, arg, lane);
 }
 
-void Simulator::AfterTimer(SimTime delay, TimerHandler* timer, uint64_t arg) {
+void Simulator::AfterTimer(SimTime delay, TimerHandler* timer, uint64_t arg,
+                           LaneId lane) {
   ORBIT_CHECK(delay >= 0);
   ORBIT_CHECK(timer != nullptr);
-  queue_.PushTimer(now_ + delay, timer, arg);
+  queue_.PushTimer(now_ + delay, timer, arg, lane);
 }
 
-void Simulator::Deliver(SimTime t, Node* node, int port, PacketPtr pkt) {
+void Simulator::Deliver(SimTime t, Node* node, int port, PacketPtr pkt,
+                        LaneId lane) {
   ORBIT_CHECK(t >= now_);
-  queue_.PushDelivery(t, node, port, std::move(pkt));
+  queue_.PushDelivery(t, node, port, std::move(pkt), lane);
 }
 
 bool Simulator::Step() {
@@ -61,7 +64,7 @@ bool Simulator::Step() {
   Event e = queue_.Pop();
   now_ = e.time;
   ++events_processed_;
-  if (e.node != nullptr) {
+  if (e.delivery) {
     e.node->OnPacket(std::move(e.pkt), e.port);
   } else {
     e.timer->OnTimer(e.arg);

@@ -43,13 +43,21 @@ class Simulator {
  public:
   SimTime now() const { return now_; }
 
+  // A FIFO lane for a source whose pushes come in time order (see
+  // EventQueue). Naming it on a push is only a hint: it never changes the
+  // order events fire in.
+  LaneId NewLane() { return queue_.NewLane(); }
+
   // Fires `timer->OnTimer(arg)` at absolute time t (>= now), or after a
   // non-negative delay. Zero allocation: periodic ticks, per-request
   // deadlines, service completions and fault scripts all ride these.
-  void AtTimer(SimTime t, TimerHandler* timer, uint64_t arg = 0);
-  void AfterTimer(SimTime delay, TimerHandler* timer, uint64_t arg = 0);
+  void AtTimer(SimTime t, TimerHandler* timer, uint64_t arg = 0,
+               LaneId lane = kNoLane);
+  void AfterTimer(SimTime delay, TimerHandler* timer, uint64_t arg = 0,
+                  LaneId lane = kNoLane);
   // Fast-path packet delivery event.
-  void Deliver(SimTime t, Node* node, int port, PacketPtr pkt);
+  void Deliver(SimTime t, Node* node, int port, PacketPtr pkt,
+               LaneId lane = kNoLane);
 
   // Executes the next event; returns false when the queue is empty.
   bool Step();

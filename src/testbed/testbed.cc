@@ -143,6 +143,10 @@ std::vector<std::string> TestbedConfig::Validate() const {
   if (!(topo.server_link_gbps > 0))
     err("topo.server_link_gbps must be > 0 (got " +
         std::to_string(topo.server_link_gbps) + ")");
+  if (topo.link_delay < 0)
+    err("topo.link_delay must be >= 0 (got " +
+        std::to_string(topo.link_delay) +
+        "ns) — a packet cannot arrive before it is sent");
   if (!(topo.asic.recirc_rate_gbps > 0))
     err("topo.asic.recirc_rate_gbps must be > 0 (got " +
         std::to_string(topo.asic.recirc_rate_gbps) +

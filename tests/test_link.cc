@@ -175,6 +175,24 @@ TEST_F(LinkTest, SameConfigLossyLinksDropDifferentPackets) {
   EXPECT_NE(s1, s2) << "per-link seed mixing must decorrelate loss";
 }
 
+TEST_F(LinkTest, HealedGrayLinkDeliversTheLaterPacketFirst) {
+  LinkConfig cfg;
+  cfg.rate_gbps = 8.0;  // 82 ns per empty packet
+  cfg.propagation = 500;
+  Link* link = net_.Connect(&a_, &b_, cfg).link;
+  link->SetDegrade(0, /*loss_rate=*/0, /*extra_latency=*/10'000);
+  net_.Send(&a_, 0, MakeSized(1, 0));
+  sim_.RunUntil(100);
+  link->SetDegrade(0, 0, 0);  // heals while packet 1 is in flight
+  net_.Send(&a_, 0, MakeSized(2, 0));
+  sim_.RunToCompletion();
+  ASSERT_EQ(b_.arrivals.size(), 2u);
+  EXPECT_EQ(b_.arrivals[0].seq, 2u);
+  EXPECT_EQ(b_.arrivals[0].at, 100 + 82 + 500);
+  EXPECT_EQ(b_.arrivals[1].seq, 1u);
+  EXPECT_EQ(b_.arrivals[1].at, 82 + 500 + 10'000);
+}
+
 TEST_F(LinkTest, NetworkAssignsDistinctPorts) {
   Recorder hub;
   hub.now_fn = [this] { return sim_.now(); };

@@ -200,6 +200,42 @@ TEST_F(SwitchTest, ResetDataPlaneFlushesTheLoopAndResetsTheProgram) {
   EXPECT_EQ(program_.resets, 1);
 }
 
+TEST_F(SwitchTest, RecirculationAfterAResetOvertakesFlushedPackets) {
+  // A slow loop: a 1,082-byte pass takes 86,560 ns, an 82-byte one 6,560.
+  AsicConfig asic;
+  asic.recirc_rate_gbps = 0.1;
+  SwitchDevice slow(&sim_, &net_, "slow", asic);
+  StubProgram program;
+  slow.SetProgram(&program);
+  Recorder c(&sim_);
+  const int to_slow = net_.Connect(&a_, &slow, sim::LinkConfig{}).port_a;
+  slow.AddRoute(3, net_.Connect(&c, &slow, sim::LinkConfig{}).port_b);
+  program.plan[5] = IngressResult::Recirculate();
+  program.plan[6] = IngressResult::Recirculate();
+
+  auto big = Pkt(5, 3);
+  big->msg.value = kv::Value::Synthetic(1000, 1);
+  net_.Send(&a_, to_slow, std::move(big));
+  sim_.RunUntil(2 * kMicrosecond);  // packet 5's pass ends at ~87.6 us
+  ASSERT_EQ(slow.stats().recirc_in_flight, 1);
+  slow.ResetDataPlane();
+  // The flush zeroed the port's busy horizon, so packet 6's pass ends at
+  // ~9.6 us, long before packet 5's, which is still queued behind it.
+  net_.Send(&a_, to_slow, Pkt(6, 3));
+  sim_.RunUntil(4 * kMicrosecond);
+  program.plan[6] = IngressResult::ToAddr(3);
+  sim_.RunUntil(20 * kMicrosecond);
+  ASSERT_EQ(c.arrivals.size(), 1u);
+  EXPECT_EQ(c.arrivals[0].seq, 6u);
+  EXPECT_EQ(c.arrivals[0].recircs, 1u);
+  EXPECT_EQ(slow.stats().recirc_flushed, 0u) << "packet 5 has not come back";
+
+  sim_.RunToCompletion();
+  EXPECT_EQ(slow.stats().recirc_flushed, 1u);
+  EXPECT_EQ(slow.stats().recirc_packets, 2u);
+  EXPECT_EQ(program.invocations, 3) << "5 once, 6 twice";
+}
+
 TEST_F(SwitchTest, ProgramCanOnlyBeAttachedOnce) {
   StubProgram another;
   EXPECT_THROW(sw_.SetProgram(&another), CheckFailure);

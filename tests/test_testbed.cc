@@ -343,6 +343,36 @@ TEST(TestbedValidate, LinkAndRecirculationRatesMustBePositive) {
   EXPECT_TRUE(cfg.Validate().empty());
 }
 
+// A negative link delay, rebuild delay or fault time used to pass
+// Validate() and then fail an event-core check mid-run (an arrival, a
+// rebuild or a fault scheduled before the current time).
+
+TEST(TestbedValidate, NegativeLinkDelayIsRejected) {
+  TestbedConfig cfg = SmallConfig(Scheme::kOrbitCache);
+  cfg.topo.link_delay = 0;
+  EXPECT_TRUE(cfg.Validate().empty());
+  cfg.topo.link_delay = -100'000;
+  const auto errors = cfg.Validate();
+  EXPECT_TRUE(HasErrorMentioning(errors, "topo.link_delay"));
+  EXPECT_TRUE(HasErrorMentioning(errors, "-100000"));
+}
+
+TEST(TestbedValidate, NegativeSwitchRebuildDelayIsRejected) {
+  TestbedConfig cfg = SmallConfig(Scheme::kOrbitCache);
+  cfg.fault = fault::SwitchResetAt(5 * kMillisecond, /*rebuild_delay=*/0);
+  EXPECT_TRUE(cfg.Validate().empty());
+  cfg.fault.switch_rebuild_delay = -1;
+  EXPECT_TRUE(HasErrorMentioning(cfg.Validate(), "switch_rebuild_delay"));
+}
+
+TEST(TestbedValidate, FaultEventsBeforeTheRunAreRejected) {
+  TestbedConfig cfg = SmallConfig(Scheme::kOrbitCache);
+  cfg.fault = fault::ServerCrashAt(0, 0, kMillisecond);
+  EXPECT_TRUE(cfg.Validate().empty());
+  cfg.fault = fault::ServerCrashAt(0, -kMillisecond, kMillisecond);
+  EXPECT_TRUE(HasErrorMentioning(cfg.Validate(), "before the run starts"));
+}
+
 TEST(TestbedValidate, TimelineBinBeyondDurationIsRejected) {
   TestbedConfig cfg;
   cfg.duration = 100 * kMillisecond;
